@@ -883,6 +883,10 @@ def _cmd_load(args) -> int:
           f"p99={latency['p99'] * 1000:.1f}ms "
           f"throughput={report['throughput_rps']:.1f} rps "
           f"cache_hits={report['cache_hits']}")
+    lag = report["lag_s"]
+    print(f"  send lag p50={lag['p50'] * 1000:.1f}ms "
+          f"p99={lag['p99'] * 1000:.1f}ms max={lag['max'] * 1000:.1f}ms "
+          f"(latency runs from the scheduled arrival)")
     mismatches = report["verification"]["mismatches"]
     if args.verify:
         print(f"  verified {report['verification']['verified']} unique "

@@ -7,23 +7,24 @@ repeat counts of simulation campaigns.
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from dataclasses import dataclass, field
 
-try:  # scipy is available in the reference environment; fall back to a
-    # normal-approximation table if not.
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover
-    _scipy_stats = None
 
-
+@functools.lru_cache(maxsize=None)
 def _t_critical(dof: int, confidence: float = 0.95) -> float:
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
-    # Coarse fallback: normal quantile (fine for dof >= 30, conservative
-    # enough below).
-    return 1.96 if confidence == 0.95 else 2.58
+    # scipy is imported here, not at module load: it costs ~1 s and
+    # ~75 MB, and only report confidence intervals need it — never the
+    # CLI start, the service or a simulation worker.
+    try:
+        from scipy import stats
+    except ImportError:  # pragma: no cover
+        # Coarse fallback: normal quantile (fine for dof >= 30,
+        # conservative enough below).
+        return 1.96 if confidence == 0.95 else 2.58
+    return float(stats.t.ppf(0.5 + confidence / 2.0, dof))
 
 
 @dataclass(frozen=True)

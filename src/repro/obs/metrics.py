@@ -457,6 +457,9 @@ class _MetricsHandler(BaseHTTPRequestHandler):
     """GET /metrics -> the server's render callback; quiet logging."""
 
     server: "_MetricsHTTPServer"
+    # TCP_NODELAY: headers and body are separate writes; with Nagle on,
+    # a keep-alive response would wait for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         path = self.path.split("?", 1)[0]

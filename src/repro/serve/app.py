@@ -60,6 +60,9 @@ JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 #: Largest accepted request body; a scenario dict is a few hundred
 #: bytes, so anything near this is a misbehaving client.
 MAX_BODY_BYTES = 1 << 20
+#: Oversized bodies up to this size are read and dropped so the client
+#: gets its 413; a larger one just has its connection closed.
+MAX_DRAIN_BYTES = 16 * MAX_BODY_BYTES
 
 
 @dataclass(frozen=True)
@@ -633,6 +636,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
     server: _ServeHTTPServer
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a response goes out as headers then body, and on a
+    # keep-alive connection Nagle would hold the body until the client's
+    # delayed ACK (~40 ms) for the headers arrives.
+    disable_nagle_algorithm = True
 
     # -- helpers -------------------------------------------------------
 
@@ -664,8 +671,19 @@ class _ServeHandler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         if length < 0 or length > MAX_BODY_BYTES:
+            # Read and drop a moderately oversized body before answering,
+            # then close: left unread, it would be parsed as the next
+            # request, and closing on unread bytes resets the connection
+            # under a client still sending, which then never sees the 413.
+            remaining = min(length, MAX_DRAIN_BYTES)
+            while remaining > 0:
+                chunk = self.rfile.read(min(remaining, 1 << 16))
+                if not chunk:
+                    break
+                remaining -= len(chunk)
             self._respond_json(413, {"error": "body_too_large",
-                                     "limit": MAX_BODY_BYTES})
+                                     "limit": MAX_BODY_BYTES},
+                               {"Connection": "close"})
             return
         body = self.rfile.read(length) if length else b""
         status, payload, headers = self.server.app.handle_simulate(body)

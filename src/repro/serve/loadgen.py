@@ -11,7 +11,12 @@ content-addressed cache: repeats of a scenario must come back as
 The report separates outcomes by the service's own contract — shed
 (429) and unavailable (503) are *load signals*, not errors — and
 records p50/p99/mean latency plus achieved throughput, which the serve
-benchmark feeds into the perf-trajectory gate.
+benchmark feeds into the perf-trajectory gate.  Latency runs from each
+request's *scheduled* arrival, not from when a consumer got round to
+sending it: a consumer stuck behind a slow response delays its next
+request, and that wait is part of what the open-loop client sees (no
+coordinated omission).  How late requests went out is reported on its
+own as the send lag (``lag_s``).
 
 Optionally (``verify=True``) every unique 200-payload is byte-compared
 against a clean, local ``simulate(scenario)`` at the same seed: the
@@ -126,14 +131,16 @@ class _Collector:
         self.lock = threading.Lock()
         self.counts = {outcome: 0 for outcome in OUTCOMES}
         self.ok_latencies: list[float] = []
+        self.lags: list[float] = []
         self.cache_hits = 0
         self.bodies: dict[str, str] = {}   # digest -> canonical payload
         self.mismatches: list[str] = []
 
-    def record(self, outcome: str, latency: float,
+    def record(self, outcome: str, latency: float, lag: float,
                body: dict[str, Any] | None) -> None:
         with self.lock:
             self.counts[outcome] = self.counts.get(outcome, 0) + 1
+            self.lags.append(lag)
             if outcome != "ok" or body is None:
                 return
             self.ok_latencies.append(latency)
@@ -157,7 +164,8 @@ def _consume(plan: list[dict], config: LoadConfig, start: float,
                                             timeout=config.timeout_s)
     try:
         for entry in plan:
-            delay = start + entry["at"] - time.monotonic()
+            scheduled = start + entry["at"]
+            delay = scheduled - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
             body = json.dumps({
@@ -165,7 +173,7 @@ def _consume(plan: list[dict], config: LoadConfig, start: float,
                 "priority": entry["priority"],
                 "deadline_s": config.deadline_s,
             }).encode("utf-8")
-            sent = time.monotonic()
+            lag = time.monotonic() - scheduled
             try:
                 connection.request(
                     "POST", base_path + "/simulate", body=body,
@@ -175,18 +183,18 @@ def _consume(plan: list[dict], config: LoadConfig, start: float,
                 status = response.status
             except (OSError, http.client.HTTPException):
                 collector.record("transport_error",
-                                 time.monotonic() - sent, None)
+                                 time.monotonic() - scheduled, lag, None)
                 connection.close()
                 connection = http.client.HTTPConnection(
                     host, port, timeout=config.timeout_s)
                 continue
-            latency = time.monotonic() - sent
+            latency = time.monotonic() - scheduled
             try:
                 payload = json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
                 payload = None
             collector.record(_STATUS_OUTCOME.get(status, "other"),
-                             latency, payload)
+                             latency, lag, payload)
     finally:
         connection.close()
 
@@ -247,6 +255,7 @@ def run_load(config: LoadConfig) -> dict[str, Any]:
     wall_s = time.monotonic() - began
 
     latencies = sorted(collector.ok_latencies)
+    lags = sorted(collector.lags)
     sent = sum(collector.counts.values())
     report: dict[str, Any] = {
         "url": config.url,
@@ -266,6 +275,11 @@ def run_load(config: LoadConfig) -> dict[str, Any]:
             "p99": percentile(latencies, 0.99),
             "mean": (sum(latencies) / len(latencies)) if latencies else 0.0,
             "max": latencies[-1] if latencies else 0.0,
+        },
+        "lag_s": {
+            "p50": percentile(lags, 0.50),
+            "p99": percentile(lags, 0.99),
+            "max": lags[-1] if lags else 0.0,
         },
         "throughput_rps": (len(latencies) / wall_s) if wall_s > 0 else 0.0,
         "wall_s": wall_s,

@@ -250,6 +250,49 @@ class TestHTTP:
         assert self.post(app, "/nothing", b"{}")[0] == 404
         assert self.post(app, "/simulate", b"x" * (1 << 20 + 1))[0] == 413
 
+    def test_keepalive_hit_is_not_stalled(self, app_factory):
+        """A cache hit on a reused keep-alive connection must answer at
+        fresh-connection speed.  With Nagle on, each response's body
+        waited for the client's delayed ACK of its headers (~40 ms)."""
+        app = app_factory()
+        body = scenario_body(seed=3)
+
+        def timed(connection):
+            began = time.perf_counter()
+            connection.request("POST", "/simulate", body=body,
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            elapsed = time.perf_counter() - began
+            assert response.status == 200
+            return elapsed, payload
+
+        keepalive = http.client.HTTPConnection("127.0.0.1", app.port,
+                                               timeout=30)
+        try:
+            _, first = timed(keepalive)             # the one miss
+            assert first["cached"] is False
+            reused = []
+            for _ in range(50):
+                elapsed, payload = timed(keepalive)
+                assert payload["cached"] is True
+                reused.append(elapsed)
+        finally:
+            keepalive.close()
+        fresh = []
+        for _ in range(20):
+            connection = http.client.HTTPConnection("127.0.0.1", app.port,
+                                                    timeout=30)
+            try:
+                fresh.append(timed(connection)[0])
+            finally:
+                connection.close()
+
+        reused_p50 = sorted(reused)[len(reused) // 2]
+        fresh_p50 = sorted(fresh)[len(fresh) // 2]
+        assert reused_p50 < 0.020, (reused_p50, fresh_p50)
+        assert reused_p50 <= 3 * fresh_p50, (reused_p50, fresh_p50)
+
     def test_healthz_reports_draining(self, app_factory):
         app = app_factory()
         app.drain.begin("test")
