@@ -6,17 +6,17 @@ file).  The header line pins a ``tag`` — a fingerprint of the campaign
 (command, figure, base seed) — so a journal cannot silently be resumed
 into a different campaign.
 
-Durability model:
+Durability model (the file is a :class:`repro.campaign.io.AppendLog`):
 
 * the header is created atomically (:func:`repro.campaign.io.atomic_write`)
-  and :meth:`CampaignJournal.open` always fsyncs the parent directory, so
-  the journal's very existence survives a crash immediately after open;
+  and every open fsyncs the parent directory, so the journal's very
+  existence survives a crash immediately after open;
 * each record append is flushed and fsynced before the engine considers
   the trial checkpointed (write-ahead: the journal entry lands before
   the result is surfaced to aggregation);
-* a torn trailing line — the signature of a mid-write kill — is detected
-  and ignored on load, so ``--resume`` after a crash just re-runs the
-  trial whose record was cut short.
+* a torn trailing line — the signature of a mid-write kill — is
+  terminated on open and ignored on load, so ``--resume`` after a crash
+  just re-runs the trial whose record was cut short.
 
 Because every trial's RNG stream depends only on ``(base_seed,
 trial_index)`` (DESIGN.md §9), a resumed campaign reproduces the
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.campaign.io import _fsync_dir, atomic_write
+from repro.campaign.io import AppendLog, atomic_write
 from repro.campaign.spec import TrialFailure, TrialOutcome
 
 _VERSION = 1
@@ -72,9 +72,9 @@ class CampaignJournal:
     """Append-side of the journal.  Open via :meth:`open`, feed it
     terminal :class:`TrialOutcome`\\ s via :meth:`record`."""
 
-    def __init__(self, path: Path, handle) -> None:
-        self.path = path
-        self._handle = handle
+    def __init__(self, log: AppendLog) -> None:
+        self.path = log.path
+        self._log = log
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -87,6 +87,7 @@ class CampaignJournal:
         ``tag``; appending to a journal from a different campaign is an
         error, not a silent corruption."""
         target = Path(path)
+        header = {"type": "header", "version": _VERSION, "tag": tag}
         reheader = False
         if target.exists() and target.stat().st_size > 0:
             snapshot = load_journal(target)
@@ -99,41 +100,15 @@ class CampaignJournal:
             # resumes get their tag check back.
             reheader = not snapshot.tag
         else:
-            header = json.dumps({"type": "header", "version": _VERSION,
-                                 "tag": tag}, sort_keys=True)
-            atomic_write(target, header + "\n")
-        handle = open(target, "a", encoding="utf-8")
-        # A mid-write kill can leave a torn final line with no newline;
-        # appending straight after it would glue the next record onto
-        # the torn prefix and lose it.  Terminate the torn line so it
-        # stays its own (ignored) line.
-        repaired = False
-        if target.stat().st_size > 0:
-            with open(target, "rb") as check:
-                check.seek(-1, os.SEEK_END)
-                if check.read(1) != b"\n":
-                    handle.write("\n")
-                    handle.flush()
-                    repaired = True
+            atomic_write(target, json.dumps(header, sort_keys=True) + "\n")
+        log = AppendLog(target)
+        log.open()
         if reheader:
-            handle.write(json.dumps({"type": "header", "version": _VERSION,
-                                     "tag": tag}, sort_keys=True) + "\n")
-            handle.flush()
-            repaired = True
-        if repaired:
-            os.fsync(handle.fileno())
-        # The rename in atomic_write fsyncs the directory for the
-        # *creation* path, but the repair paths above mutate an existing
-        # file whose directory entry may still be unjournaled (e.g. the
-        # journal itself survived a crash that its directory did not).
-        # Pin the entry before any trial record depends on it.
-        _fsync_dir(target.parent)
-        return cls(target, handle)
+            log.append(header)
+        return cls(log)
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._log.close()
 
     def __enter__(self) -> "CampaignJournal":
         return self
@@ -158,10 +133,7 @@ class CampaignJournal:
             entry["recovery"] = outcome.recovery
         if outcome.ok:
             entry["payload"] = _encode_value(outcome.value)
-        line = json.dumps(entry, sort_keys=True)
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        self._log.append(entry)
 
 
 # ----------------------------------------------------------------------
@@ -180,33 +152,32 @@ def load_journal(path: str | os.PathLike) -> JournalSnapshot:
     :class:`JournalError` (the tag cannot be trusted).
     """
     target = Path(path)
-    snapshot = JournalSnapshot()
     try:
-        with open(target, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        records, torn = AppendLog(target).load()
     except FileNotFoundError as exc:
         raise JournalError(f"journal {target} does not exist") from exc
-    if not lines:
+    if not records and not torn:
         raise JournalError(f"journal {target} is empty")
+    # A torn line is only legitimate where a mid-write kill cut it
+    # (typically the tail — or the header itself, when the kill landed
+    # during journal creation); just count it and move on.
+    snapshot = JournalSnapshot(torn_lines=torn)
     have_header = False
-    for line in lines:
-        if not line.strip():
+    for entry in records:
+        kind = entry.get("type")
+        if kind == "header":
+            if have_header:
+                continue              # only the first header pins the tag
+            if entry.get("version") != _VERSION:
+                raise JournalError(
+                    f"journal {target} has unsupported version "
+                    f"{entry.get('version')!r}")
+            snapshot.tag = entry.get("tag", "")
+            have_header = True
+            continue
+        if kind != "trial":
             continue
         try:
-            entry = json.loads(line)
-            kind = entry.get("type")
-            if kind == "header":
-                if have_header:
-                    continue          # only the first header pins the tag
-                if entry.get("version") != _VERSION:
-                    raise JournalError(
-                        f"journal {target} has unsupported version "
-                        f"{entry.get('version')!r}")
-                snapshot.tag = entry.get("tag", "")
-                have_header = True
-                continue
-            if kind != "trial":
-                continue
             index = int(entry["index"])
             if entry.get("ok"):
                 snapshot.values[index] = _decode_value(entry["payload"])
@@ -215,14 +186,8 @@ def load_journal(path: str | os.PathLike) -> JournalSnapshot:
                 snapshot.failed[index] = [
                     TrialFailure(**f) for f in entry.get("failures", [])
                 ]
-        except JournalError:
-            raise
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError,
-                pickle.UnpicklingError, EOFError):
-            # A torn line is only legitimate where a mid-write kill cut
-            # it (typically the tail — or the header itself, when the
-            # kill landed during journal creation); just count it and
-            # move on.
+        except (KeyError, ValueError, TypeError, pickle.UnpicklingError,
+                EOFError):
             snapshot.torn_lines += 1
     if not have_header and (snapshot.values or snapshot.failed):
         # Decodable trial records but no header: that is corruption (or

@@ -10,11 +10,12 @@ byte-identical to an uninterrupted run.
 Pieces:
 
 * :class:`CheckpointStore` — durable per-trial-index checkpoint files
-  (``trial-<gidx>.ckpt.json``), written with
-  :func:`~repro.campaign.io.atomic_write` so a mid-write kill can never
-  tear one.  A corrupt or tampered checkpoint is **quarantined** (moved
-  aside for post-mortem, like the serve result cache) and reported as
-  absent, so the retry falls back to from-zero instead of trusting it.
+  (``trial-<gidx>.ckpt.json``) in a
+  :class:`~repro.campaign.io.VerifiedStore`, written atomically so a
+  mid-write kill can never tear one.  A corrupt or tampered checkpoint
+  is **quarantined** (moved into ``quarantine/`` for post-mortem, like
+  the serve result cache) and reported as absent, so the retry falls
+  back to from-zero instead of trusting it.
   The store also keeps a per-trial *lineage* sidecar recording every
   attempt — whether it resumed, from which simulated clock, how many
   checkpoints it wrote — which the engine folds into the journal.
@@ -41,12 +42,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.campaign.io import atomic_write
-from repro.sim.checkpoint import (
-    CheckpointError,
-    CheckpointPolicy,
-    KernelCheckpoint,
-)
+from repro.campaign.io import VerifiedStore
+from repro.sim.checkpoint import CheckpointPolicy, KernelCheckpoint
 
 __all__ = ["CheckpointStore", "TrialContext", "simulate_scenario_trial"]
 
@@ -60,11 +57,8 @@ class TrialContext:
     checkpoint_dir: str     # CheckpointStore root
 
 
-class CheckpointStore:
+class CheckpointStore(VerifiedStore):
     """Per-trial checkpoint + lineage files under one directory."""
-
-    def __init__(self, root: str | os.PathLike) -> None:
-        self.root = Path(root)
 
     def checkpoint_path(self, index: int) -> Path:
         return self.root / f"trial-{index}.ckpt.json"
@@ -80,29 +74,17 @@ class CheckpointStore:
         """Durably persist the trial's latest checkpoint (atomic
         replace; a ``kill -9`` leaves either the previous checkpoint or
         the complete new one, never a torn hybrid)."""
-        atomic_write(self.checkpoint_path(index),
-                     checkpoint.to_json() + "\n")
+        self.write(self.checkpoint_path(index), checkpoint.to_json() + "\n")
 
     def load(self, index: int) -> KernelCheckpoint | None:
         """The trial's last *valid* checkpoint, or None.
 
         A checkpoint that fails decode or digest verification is moved
-        to ``<name>.quarantined[.n]`` and reported as absent — the
-        caller restarts from zero rather than resuming corrupt state.
+        to ``quarantine/`` and reported as absent — the caller restarts
+        from zero rather than resuming corrupt state.
         """
-        path = self.checkpoint_path(index)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (FileNotFoundError, NotADirectoryError):
-            return None
-        except OSError:
-            self._quarantine(path)
-            return None
-        try:
-            return KernelCheckpoint.from_json(text)
-        except CheckpointError:
-            self._quarantine(path)
-            return None
+        return self.read(self.checkpoint_path(index),
+                         KernelCheckpoint.from_json)
 
     def clear(self, index: int) -> None:
         """Drop the trial's checkpoint (called on success; the lineage
@@ -112,27 +94,6 @@ class CheckpointStore:
         except OSError:  # pragma: no cover - best-effort cleanup
             pass
 
-    def _quarantine(self, path: Path) -> None:
-        target = path.with_name(path.name + ".quarantined")
-        suffix = 0
-        while target.exists():
-            suffix += 1
-            target = path.with_name(f"{path.name}.quarantined.{suffix}")
-        try:
-            os.replace(path, target)
-        except OSError:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover - best-effort
-                pass
-
-    def quarantined(self) -> list[Path]:
-        try:
-            return sorted(p for p in self.root.iterdir()
-                          if ".quarantined" in p.name)
-        except (FileNotFoundError, NotADirectoryError):
-            return []
-
     # ------------------------------------------------------------------
     # Lineage
     # ------------------------------------------------------------------
@@ -141,8 +102,8 @@ class CheckpointStore:
         """Append one attempt record to the trial's lineage sidecar."""
         lineage = self.lineage(index)
         lineage.append(entry)
-        atomic_write(self.lineage_path(index),
-                     json.dumps(lineage, sort_keys=True) + "\n")
+        self.write(self.lineage_path(index),
+                   json.dumps(lineage, sort_keys=True) + "\n")
 
     def lineage(self, index: int) -> list[dict[str, Any]]:
         try:

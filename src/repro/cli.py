@@ -375,8 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write-ahead request log: admitted requests "
                             "are journaled durably and replayed on warm "
                             "restart after a kill -9")
-    serve.add_argument("--drain-journal", default=None, metavar="PATH",
-                       help="journal unfinished scenarios here on drain")
     serve.add_argument("--duration", type=float, default=None,
                        help="serve for N seconds then drain "
                             "(default: until SIGTERM/SIGINT)")
@@ -744,7 +742,6 @@ def _chaos_from_args(args) -> "ChaosPlan | None":
 
 
 def _serve_config_from_args(args, *, cache_dir: str,
-                            drain_journal: str | None = None,
                             host: str = "127.0.0.1", port: int = 0,
                             queue_capacity: int = 64,
                             watermark: int | None = None,
@@ -765,7 +762,6 @@ def _serve_config_from_args(args, *, cache_dir: str,
             breaker_reset_s=args.breaker_reset,
             cache_dir=cache_dir,
             drain_grace_s=drain_grace,
-            drain_journal=drain_journal,
             request_log=getattr(args, "request_log", None),
             chaos=_chaos_from_args(args),
         )
@@ -775,7 +771,7 @@ def _serve_config_from_args(args, *, cache_dir: str,
 
 def _cmd_serve(args) -> int:
     config = _serve_config_from_args(
-        args, cache_dir=args.cache_dir, drain_journal=args.drain_journal,
+        args, cache_dir=args.cache_dir,
         host=args.host, port=args.port,
         queue_capacity=args.queue_capacity, watermark=args.watermark,
         deadline=args.deadline, drain_grace=args.drain_grace,
@@ -812,7 +808,7 @@ def _cmd_serve(args) -> int:
           f"{stats['pool']['executions']} trials served, "
           f"{stats['cache']['hits']} cache hits, "
           f"{stats['queue']['shed']} shed, "
-          f"{report['unfinished_journaled']} journaled")
+          f"{report['unfinished']} unfinished")
     _write_json(args, {
         "command": "serve",
         "url": app.url or f"http://{config.host}:{config.port}",

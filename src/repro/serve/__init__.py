@@ -15,12 +15,7 @@ from repro.serve.admission import (
 from repro.serve.app import ServeApp, ServeConfig
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.serve.cache import ResultCache, canonical_payload_json
-from repro.serve.drain import (
-    DrainController,
-    install_drain_signal,
-    load_drain_journal,
-    write_drain_journal,
-)
+from repro.serve.drain import DrainController, install_drain_signal
 from repro.serve.loadgen import LoadConfig, run_load
 from repro.serve.pool import PoolFailure, SimulationPool, result_payload
 from repro.serve.wal import RequestLog
@@ -39,8 +34,6 @@ __all__ = [
     "canonical_payload_json",
     "DrainController",
     "install_drain_signal",
-    "load_drain_journal",
-    "write_drain_journal",
     "LoadConfig",
     "run_load",
     "PoolFailure",

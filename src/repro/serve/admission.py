@@ -171,7 +171,7 @@ class AdmissionQueue:
 
     def close(self) -> list[ServeRequest]:
         """Stop admitting; wake all consumers; return what was queued
-        (the drain path answers or journals these)."""
+        (the drain path answers these)."""
         with self._available:
             self._closed = True
             leftover = list(self._items)

@@ -20,7 +20,8 @@ a pipeline of explicit robustness stages, each independently tested:
 * **pool** (:mod:`repro.serve.pool`): crash-isolated worker processes
   with per-trial timeouts, kill-and-rebuild, and seeded backoff retry;
 * **drain** (:mod:`repro.serve.drain`): SIGTERM stops admission,
-  finishes or journals in-flight work, and exits 0.
+  finishes what it can in a grace window, leaves the rest pending in
+  the write-ahead request log, and exits 0.
 
 ``GET /metrics`` exposes the whole pipeline through the PR 4 metrics
 registry: hit rate, queue depth, shed count, breaker state, per-worker
@@ -49,7 +50,7 @@ from repro.scenario import Scenario
 from repro.serve.admission import AdmissionQueue, ServeRequest
 from repro.serve.breaker import CircuitBreaker, OPEN
 from repro.serve.cache import ResultCache
-from repro.serve.drain import DrainController, write_drain_journal
+from repro.serve.drain import DrainController
 from repro.serve.pool import PoolFailure, SimulationPool, close_inherited_fd
 from repro.serve.wal import RequestLog
 
@@ -83,9 +84,9 @@ class ServeConfig:
     breaker_reset_s: float = 2.0         # open -> half-open timer
     cache_dir: str = ".repro-serve-cache"
     drain_grace_s: float = 10.0          # finish window on SIGTERM
-    drain_journal: str | None = None     # unfinished-work journal path
     #: Write-ahead request log (repro.serve.wal): admitted requests are
-    #: journaled durably and replayed on warm restart after a kill -9.
+    #: journaled durably and replayed on warm restart after a kill -9 or
+    #: a drain that left them unserved.
     request_log: str | None = None
     chaos: ChaosPlan | None = field(default=None, repr=False)
 
@@ -114,7 +115,6 @@ class ServeConfig:
             "breaker_reset_s": self.breaker_reset_s,
             "cache_dir": self.cache_dir,
             "drain_grace_s": self.drain_grace_s,
-            "drain_journal": self.drain_journal,
             "request_log": self.request_log,
             "chaos": self.chaos is not None,
         }
@@ -153,7 +153,6 @@ class ServeApp:
         self._dispatchers: list[threading.Thread] = []
         self._server: "_ServeHTTPServer | None" = None
         self._server_thread: threading.Thread | None = None
-        self._journaled = 0
         self._started_at: float | None = None
         self.request_log = (RequestLog(cfg.request_log)
                             if cfg.request_log else None)
@@ -250,8 +249,9 @@ class ServeApp:
     def shutdown(self, grace_s: float | None = None,
                  reason: str = "shutdown") -> dict[str, Any]:
         """Graceful drain: stop admitting, give in-flight work ``grace_s``
-        seconds to finish, journal + 503 the rest, stop everything.
-        Returns a drain report (finished/journaled counts)."""
+        seconds to finish, 503 the rest, stop everything.  The rest stay
+        pending in the request log (when one is configured), so the next
+        start replays them.  Returns a drain report."""
         grace = self.config.drain_grace_s if grace_s is None else grace_s
         self.drain.begin(reason)
         deadline = self._clock() + max(0.0, grace)
@@ -262,17 +262,10 @@ class ServeApp:
                 break
             time.sleep(0.02)
         leftover = self.queue.close()
-        journal_path = None
-        if leftover and self.config.drain_journal:
-            journal_path = write_drain_journal(self.config.drain_journal,
-                                               leftover)
-            self._journaled = len(leftover)
         for request in leftover:
             self._answer(request, 503, {
                 "error": "draining",
-                "detail": "accepted but not served before drain; "
-                          "journaled" if journal_path else
-                          "accepted but not served before drain",
+                "detail": "accepted but not served before drain",
                 "digest": request.digest,
             })
         self._stop.set()
@@ -290,11 +283,7 @@ class ServeApp:
         if self.request_log is not None:
             self.request_log.close()
         self.drain.finish()
-        return {
-            "reason": reason,
-            "unfinished_journaled": self._journaled,
-            "drain_journal": str(journal_path) if journal_path else None,
-        }
+        return {"reason": reason, "unfinished": len(leftover)}
 
     def close(self) -> None:
         self.shutdown(grace_s=0.0, reason="close")
@@ -525,10 +514,6 @@ class ServeApp:
                 "rebuilds": self.pool.rebuilds,
                 "failure_kinds": dict(sorted(
                     self.pool.failure_kinds.items())),
-            },
-            "drain": {
-                "journaled": self._journaled,
-                "journal": self.config.drain_journal,
             },
             "recovery": self.recovery_status,
         }

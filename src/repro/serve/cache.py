@@ -6,9 +6,10 @@ correctness claim: equal digests mean equal declarative scenarios mean
 byte-identical ``simulate(scenario)`` output at a fixed code version.
 The store therefore refuses to serve anything it cannot re-verify:
 
-* every entry is an envelope ``{digest, payload, payload_sha256}``
-  written with :func:`repro.campaign.atomic_write` (readers see either
-  the old entry or the complete new one, never a torn hybrid);
+* every entry is an envelope ``{digest, payload, payload_sha256}`` in a
+  :class:`repro.campaign.io.VerifiedStore` (written atomically: readers
+  see either the old entry or the complete new one, never a torn
+  hybrid);
 * every read re-verifies both the addressed digest and the payload
   checksum; a torn, truncated, bit-flipped or mis-filed entry is
   **quarantined** (moved aside for post-mortem) and reported as a miss,
@@ -22,11 +23,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 from pathlib import Path
 from typing import Any
 
-from repro.campaign.io import atomic_write
+from repro.campaign.io import VerifiedStore
 
 __all__ = ["ResultCache", "canonical_payload_json", "payload_checksum"]
 
@@ -43,7 +43,7 @@ def payload_checksum(payload: dict[str, Any]) -> str:
         canonical_payload_json(payload).encode("utf-8")).hexdigest()
 
 
-class ResultCache:
+class ResultCache(VerifiedStore):
     """Digest-addressed result store under one root directory.
 
     Layout: ``root/<digest[:2]>/<digest>.json`` (two-level fan-out keeps
@@ -53,11 +53,9 @@ class ResultCache:
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
-        self.root = Path(root)
-        self._lock = threading.Lock()
+        super().__init__(root)
         self.hits = 0
         self.misses = 0
-        self.corrupt = 0
         self.writes = 0
 
     # ------------------------------------------------------------------
@@ -81,29 +79,21 @@ class ResultCache:
         the caller recomputes and overwrites, so corruption degrades to
         extra work, never to a wrong or failed response.
         """
-        path = self.path_for(digest)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except (FileNotFoundError, NotADirectoryError):
-            with self._lock:
-                self.misses += 1
-            return None
-        except OSError:
-            # Unreadable (permissions, I/O error): treat as corrupt.
-            self._quarantine(path)
-            return None
-        try:
+        def verify(raw: str) -> dict[str, Any]:
             envelope = json.loads(raw)
             payload = envelope["payload"]
             if envelope["digest"] != digest:
                 raise ValueError("entry addressed under the wrong digest")
             if envelope["payload_sha256"] != payload_checksum(payload):
                 raise ValueError("payload checksum mismatch")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            self._quarantine(path)
-            return None
+            return payload
+
+        payload = self.read(self.path_for(digest), verify)
         with self._lock:
-            self.hits += 1
+            if payload is None:
+                self.misses += 1
+            else:
+                self.hits += 1
         return payload
 
     # ------------------------------------------------------------------
@@ -124,39 +114,13 @@ class ResultCache:
             "payload_sha256": payload_checksum(payload),
         }
         try:
-            atomic_write(path, json.dumps(envelope, sort_keys=True,
-                                          separators=(",", ":")) + "\n")
+            self.write(path, json.dumps(envelope, sort_keys=True,
+                                        separators=(",", ":")) + "\n")
         except OSError:
             return None
         with self._lock:
             self.writes += 1
         return path
-
-    # ------------------------------------------------------------------
-    # Quarantine
-    # ------------------------------------------------------------------
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a defective entry aside (never delete evidence); a
-        failed move falls back to unlink so the bad entry cannot be
-        served again either way."""
-        with self._lock:
-            self.corrupt += 1
-            self.misses += 1
-        quarantine_dir = self.root / "quarantine"
-        try:
-            quarantine_dir.mkdir(parents=True, exist_ok=True)
-            target = quarantine_dir / f"{path.name}.{os.getpid()}"
-            suffix = 0
-            while target.exists():
-                suffix += 1
-                target = quarantine_dir / f"{path.name}.{os.getpid()}.{suffix}"
-            os.replace(path, target)
-        except OSError:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
 
     # ------------------------------------------------------------------
     # Introspection
@@ -174,9 +138,3 @@ class ResultCache:
         lookups = hits + misses
         stats["hit_rate"] = (hits / lookups) if lookups else 0.0
         return stats
-
-    def quarantined(self) -> list[Path]:
-        try:
-            return sorted((self.root / "quarantine").iterdir())
-        except (FileNotFoundError, NotADirectoryError):
-            return []

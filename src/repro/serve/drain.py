@@ -1,4 +1,4 @@
-"""Graceful drain: stop admitting, finish or journal, exit clean.
+"""Graceful drain: stop admitting, finish what fits, exit clean.
 
 On SIGTERM the service must neither drop accepted work silently nor
 hang forever on it (Chan & Woelfel's recoverable-mutex lesson applied
@@ -10,24 +10,20 @@ to a process: correctness must survive being told to die mid-operation):
 2. dispatchers keep consuming the admission queue for a bounded grace
    period, finishing what they can;
 3. whatever is still queued when the grace expires is answered 503 and
-   **journaled** — one JSON line per unfinished scenario, written
-   atomically — so an operator (or the restarted service) can replay
-   exactly what was accepted but never served;
+   stays pending in the write-ahead request log (:mod:`repro.serve.wal`),
+   which already holds every admitted request and is never compacted on
+   shutdown, so the restarted service replays exactly what was accepted
+   but never served;
 4. the process exits 0: a drain is a success, not a crash.
 """
 
 from __future__ import annotations
 
-import json
 import signal
 import threading
-from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Callable
 
-from repro.campaign.io import atomic_write
-
-__all__ = ["DrainController", "write_drain_journal", "load_drain_journal",
-           "install_drain_signal"]
+__all__ = ["DrainController", "install_drain_signal"]
 
 
 class DrainController:
@@ -60,48 +56,6 @@ class DrainController:
 
     def wait_finished(self, timeout: float | None = None) -> bool:
         return self._done.wait(timeout)
-
-
-def write_drain_journal(path: str | Path,
-                        requests: Iterable[Any]) -> Path | None:
-    """Persist the scenarios that were admitted but never served.
-
-    Each line is ``{"digest", "priority", "scenario"}`` — everything
-    needed to re-POST the work.  Returns None (and writes nothing) when
-    there is nothing to journal.
-    """
-    lines = [
-        json.dumps({
-            "digest": request.digest,
-            "priority": request.priority,
-            "scenario": request.scenario_dict,
-        }, sort_keys=True)
-        for request in requests
-    ]
-    if not lines:
-        return None
-    return atomic_write(path, "\n".join(lines) + "\n")
-
-
-def load_drain_journal(path: str | Path) -> list[dict[str, Any]]:
-    """Parse a drain journal back into replayable entries (torn or
-    blank lines are skipped — the journal may itself have been cut)."""
-    entries: list[dict[str, Any]] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        return entries
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-            entries.append({"digest": entry["digest"],
-                            "priority": entry.get("priority", 1.0),
-                            "scenario": entry["scenario"]})
-        except (json.JSONDecodeError, KeyError, TypeError):
-            continue
-    return entries
 
 
 def install_drain_signal(callback: Callable[[str], None],

@@ -1,12 +1,13 @@
 """Durable write-ahead request log for serve warm restart.
 
-Admission durability: the drain journal (:mod:`repro.serve.drain`)
-covers a *graceful* SIGTERM, but a ``kill -9`` gives the server no
-chance to write anything — whatever sat in the admission queue or on a
-worker is simply gone.  The :class:`RequestLog` closes that hole by
-journaling every request *at admission time*, before the queue accepts
-it: one JSON line per request (digest, scenario, QoS), flushed and
-fsynced before the admit proceeds.
+Admission durability: a ``kill -9`` gives the server no chance to write
+anything — whatever sat in the admission queue or on a worker is simply
+gone.  The :class:`RequestLog` closes that hole by journaling every
+request *at admission time*, before the queue accepts it: one JSON line
+per request (digest, scenario, QoS), flushed and fsynced before the
+admit proceeds.  A graceful drain needs nothing more: the log is never
+compacted on shutdown, so requests still queued when the grace expires
+stay pending and the next start replays them.
 
 On restart, :meth:`ServeApp.start` replays the log: entries are deduped
 by ``Scenario.digest()``; digests already in the content-addressed
@@ -17,19 +18,17 @@ write is atomic and the payload is a deterministic pure function of the
 scenario.  The replayed log is then compacted down to the still-pending
 entries so it cannot grow across restarts.
 
-Torn trailing lines (the signature of a mid-append kill) are skipped on
-load, mirroring the campaign journal's tolerance.
+The file itself is a :class:`repro.campaign.io.AppendLog`: torn lines
+are skipped on load, and a torn final line is terminated before the
+next append so that append is not lost with it.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import threading
-from pathlib import Path
 from typing import Any
 
-from repro.campaign.io import _fsync_dir, atomic_write
+from repro.campaign.io import AppendLog
 
 __all__ = ["RequestLog"]
 
@@ -38,48 +37,24 @@ class RequestLog:
     """Append-side and replay-side of the serve write-ahead log."""
 
     def __init__(self, path: str | os.PathLike) -> None:
-        self.path = Path(path)
-        self._handle = None
-        self._lock = threading.Lock()   # handler threads append racily
-        self.appended = 0
+        self._log = AppendLog(path)
+        self.path = self._log.path
 
-    # ------------------------------------------------------------------
-    # Append (request path)
-    # ------------------------------------------------------------------
-
-    def _ensure_open(self) -> None:
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            created = not self.path.exists()
-            self._handle = open(self.path, "a", encoding="utf-8")
-            if created:
-                _fsync_dir(self.path.parent)
+    @property
+    def appended(self) -> int:
+        return self._log.appended
 
     def append(self, digest: str, scenario_dict: dict[str, Any], *,
                priority: float = 1.0, deadline_s: float | None = None
                ) -> None:
         """Durably journal one admitted request (flush + fsync before
         returning, so the admit is recoverable the instant it happens)."""
-        entry = {"type": "request", "digest": digest,
-                 "scenario": scenario_dict, "priority": priority,
-                 "deadline_s": deadline_s}
-        line = json.dumps(entry, sort_keys=True) + "\n"
-        with self._lock:
-            self._ensure_open()
-            self._handle.write(line)
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self.appended += 1
+        self._log.append({"type": "request", "digest": digest,
+                          "scenario": scenario_dict, "priority": priority,
+                          "deadline_s": deadline_s})
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-    # ------------------------------------------------------------------
-    # Replay (startup path)
-    # ------------------------------------------------------------------
+        self._log.close()
 
     def load(self) -> list[dict[str, Any]]:
         """Parse the log, last-write-wins per digest, torn lines skipped.
@@ -88,21 +63,15 @@ class RequestLog:
         roughly the original arrival order).
         """
         try:
-            lines = self.path.read_text(encoding="utf-8").splitlines()
+            records, _ = self._log.load()
         except (FileNotFoundError, NotADirectoryError):
             return []
         by_digest: dict[str, dict[str, Any]] = {}
-        for line in lines:
-            if not line.strip():
+        for entry in records:
+            if (entry.get("type") != "request"
+                    or not isinstance(entry.get("digest"), str)
+                    or not isinstance(entry.get("scenario"), dict)):
                 continue
-            try:
-                entry = json.loads(line)
-                if (entry.get("type") != "request"
-                        or not isinstance(entry.get("digest"), str)
-                        or not isinstance(entry.get("scenario"), dict)):
-                    continue
-            except json.JSONDecodeError:
-                continue        # torn line from a mid-append kill
             digest = entry["digest"]
             if digest in by_digest:
                 by_digest[digest].update(entry)    # dedupe, keep order
@@ -113,7 +82,4 @@ class RequestLog:
     def compact(self, pending: list[dict[str, Any]]) -> None:
         """Atomically rewrite the log to just the still-pending entries
         (everything else is committed in the result cache)."""
-        self.close()
-        body = "".join(json.dumps(entry, sort_keys=True) + "\n"
-                       for entry in pending)
-        atomic_write(self.path, body)
+        self._log.compact(pending)

@@ -140,16 +140,16 @@ class TestDurability:
 
     @pytest.fixture
     def fsync_calls(self, monkeypatch):
-        import repro.campaign.journal as journal_mod
+        import repro.campaign.io as io_mod
 
         calls: list = []
-        real = journal_mod._fsync_dir
+        real = io_mod._fsync_dir
 
         def recording(path):
             calls.append(path)
             real(path)
 
-        monkeypatch.setattr(journal_mod, "_fsync_dir", recording)
+        monkeypatch.setattr(io_mod, "_fsync_dir", recording)
         return calls
 
     def test_open_fsyncs_parent_dir_on_create(self, tmp_path, fsync_calls):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.api import quick_scenario
 from repro.campaign.chaos import ChaosPlan
-from repro.serve import ServeApp, ServeConfig, load_drain_journal
+from repro.serve import RequestLog, ServeApp, ServeConfig
 from repro.serve.breaker import CLOSED, OPEN
 
 
@@ -162,10 +162,10 @@ class TestBreaker:
 
 
 class TestDrain:
-    def test_draining_rejects_new_work_and_journals_queued(
+    def test_queued_request_stays_in_the_wal_and_is_served_once(
             self, app_factory, tmp_path):
-        journal = tmp_path / "drain.jsonl"
-        app = app_factory(start=False, drain_journal=str(journal))
+        wal = tmp_path / "requests.jsonl"
+        app = app_factory(start=False, request_log=str(wal))
         results = []
         waiter = threading.Thread(target=lambda: results.append(
             app.handle_simulate(scenario_body(seed=5, deadline_s=10.0))))
@@ -177,20 +177,34 @@ class TestDrain:
         waiter.join(timeout=5.0)
         status, payload, _ = results[0]
         assert status == 503 and payload["error"] == "draining"
-        assert report["unfinished_journaled"] == 1
-        entries = load_drain_journal(journal)
-        assert len(entries) == 1
-        assert entries[0]["digest"] == payload["digest"]
+        assert report["unfinished"] == 1
+        digest = payload["digest"]
+        assert [e["digest"] for e in RequestLog(wal).load()] == [digest]
         # Draining app refuses fresh work.
         status, payload, headers = app.handle_simulate(scenario_body())
         assert status == 503 and "Retry-After" in headers
+
+        # A second app on the same WAL and cache serves it exactly once.
+        restarted = app_factory(request_log=str(wal))
+        deadline = time.monotonic() + 30.0
+        while (not restarted.recovery_status["complete"]
+               and time.monotonic() < deadline):
+            time.sleep(0.02)
+        assert restarted.recovery_status == {
+            "enabled": True, "recovered": 1, "pending": 0,
+            "complete": True}
+        status, payload, _ = restarted.handle_simulate(
+            scenario_body(seed=5))
+        assert status == 200 and payload["cached"] is True
+        assert payload["digest"] == digest
+        assert restarted.pool.executions == 1
 
     def test_grace_lets_inflight_work_finish(self, app_factory):
         app = app_factory()
         status, payload, _ = app.handle_simulate(scenario_body(seed=6))
         assert status == 200
         report = app.shutdown(grace_s=2.0)
-        assert report["unfinished_journaled"] == 0
+        assert report["unfinished"] == 0
         assert app.stats()["draining"] is True
 
 

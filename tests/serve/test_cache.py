@@ -1,5 +1,7 @@
 """Result-cache robustness: corruption quarantine, atomic visibility,
-cache-dir loss mid-run — every defect degrades to recompute."""
+cache-dir loss mid-run — every defect degrades to recompute.  The
+corruption cases also run against the campaign checkpoint store, the
+other user of :class:`repro.campaign.io.VerifiedStore`."""
 
 import json
 import shutil
@@ -7,6 +9,7 @@ import threading
 
 import pytest
 
+from repro.campaign.resume import CheckpointStore
 from repro.serve.cache import ResultCache, payload_checksum
 
 DIGEST = "ab" + "0" * 62
@@ -34,10 +37,34 @@ class TestRoundTrip:
                 cache.get(bad)
 
 
-class TestCorruption:
-    def corrupt_cases(self, cache):
-        path = cache.path_for(DIGEST)
-        good = path.read_text()
+@pytest.fixture(scope="module")
+def checkpoint():
+    from repro.api import quick_scenario, simulate
+    from repro.sim.checkpoint import CheckpointPolicy
+
+    sink: list = []
+    simulate(quick_scenario(n_tasks=3, horizon_us=5_000, seed=7),
+             checkpoints=CheckpointPolicy(every_events=50),
+             checkpoint_sink=sink.append)
+    return sink[-1]
+
+
+class Subject:
+    """One :class:`VerifiedStore` user, seen through the calls the
+    corruption tests make: write the good entry, read it back, and the
+    defects that must each be quarantined."""
+
+    def __init__(self, store, path, put, get, good, corrupt, defects):
+        self.store, self.path, self.good = store, path, good
+        self.put, self.get, self.corrupt = put, get, corrupt
+        self.defects = defects
+
+
+def cache_subject(tmp_path, checkpoint):
+    cache = ResultCache(tmp_path / "cache")
+
+    def defects():
+        good = cache.path_for(DIGEST).read_text()
         envelope = json.loads(good)
         tampered = dict(envelope)
         tampered["payload"] = {**PAYLOAD, "aur": 0.9}   # bit-flip, stale sum
@@ -49,28 +76,78 @@ class TestCorruption:
             json.dumps({"payload": PAYLOAD}),            # missing fields
             json.dumps(tampered, sort_keys=True),        # checksum mismatch
             json.dumps(misfiled, sort_keys=True),        # wrong address
+            None,                                        # unreadable
         ]
 
-    def test_every_defect_quarantines_and_recomputes(self, cache):
-        cache.put(DIGEST, PAYLOAD)
-        path = cache.path_for(DIGEST)
-        for round_, defect in enumerate(self.corrupt_cases(cache), 1):
-            path.write_text(defect)
-            assert cache.get(DIGEST) is None           # miss, not garbage
-            assert not path.exists()                   # moved aside
-            assert len(cache.quarantined()) == round_  # evidence kept
-            # The recompute path: overwrite and serve again.
-            cache.put(DIGEST, PAYLOAD)
-            assert cache.get(DIGEST) == PAYLOAD
-        assert cache.stats()["corrupt"] == len(self.corrupt_cases(cache))
+    return Subject(cache, cache.path_for(DIGEST),
+                   put=lambda: cache.put(DIGEST, PAYLOAD),
+                   get=lambda: cache.get(DIGEST), good=PAYLOAD,
+                   corrupt=lambda: cache.stats()["corrupt"],
+                   defects=defects)
 
-    def test_quarantine_names_never_collide(self, cache):
-        path = cache.path_for(DIGEST)
+
+def checkpoint_subject(tmp_path, checkpoint):
+    store = CheckpointStore(tmp_path / "checkpoints")
+
+    def defects():
+        good = store.checkpoint_path(0).read_text()
+        envelope = json.loads(good)
+        tampered = json.loads(good)
+        tampered["state"]["clock"] += 1                  # bit-flip, stale digest
+        misfiled = {"digest": DIGEST, "payload": PAYLOAD,   # a cache entry
+                    "payload_sha256": payload_checksum(PAYLOAD)}
+        return [
+            good[: len(good) // 2],                      # torn write
+            "not json at all {{{",                       # garbage
+            json.dumps({"state": envelope["state"]}),    # missing fields
+            json.dumps(tampered, sort_keys=True),        # digest mismatch
+            json.dumps(misfiled, sort_keys=True),        # wrong kind
+            None,                                        # unreadable
+        ]
+
+    return Subject(store, store.checkpoint_path(0),
+                   put=lambda: store.save(0, checkpoint),
+                   get=lambda: store.load(0), good=checkpoint,
+                   corrupt=lambda: store.corrupt, defects=defects)
+
+
+@pytest.fixture(params=[cache_subject, checkpoint_subject],
+                ids=["cache", "checkpoint"])
+def subject(request, tmp_path, checkpoint):
+    return request.param(tmp_path, checkpoint)
+
+
+def damage(path, defect):
+    """Replace the entry at ``path`` by ``defect``; ``None`` leaves a
+    directory there, which no read can open."""
+    path.unlink()
+    if defect is None:
+        path.mkdir()
+    else:
+        path.write_text(defect)
+
+
+class TestCorruption:
+    def test_every_defect_quarantines_and_recomputes(self, subject):
+        subject.put()
+        path = subject.path
+        defects = subject.defects()
+        for round_, defect in enumerate(defects, 1):
+            damage(path, defect)
+            assert subject.get() is None               # miss, not garbage
+            assert not path.exists()                   # moved aside
+            assert len(subject.store.quarantined()) == round_  # evidence
+            # The recompute path: overwrite and serve again.
+            subject.put()
+            assert subject.get() == subject.good
+        assert subject.corrupt() == len(defects)
+
+    def test_quarantine_names_never_collide(self, subject):
         for _ in range(3):
-            cache.put(DIGEST, PAYLOAD)
-            path.write_text("garbage")
-            assert cache.get(DIGEST) is None
-        assert len(cache.quarantined()) == 3
+            subject.put()
+            subject.path.write_text("garbage")
+            assert subject.get() is None
+        assert len(subject.store.quarantined()) == 3
 
 
 class TestConcurrency:

@@ -96,7 +96,7 @@ def test_chaos_load_never_serves_a_wrong_result(tmp_path):
     # Breaker ended the run closed (it may never have tripped: that is
     # the point of retry absorption).
     assert app.breaker.state == CLOSED
-    assert drain["unfinished_journaled"] == 0
+    assert drain["unfinished"] == 0
 
 
 @pytest.mark.slow
