@@ -60,25 +60,18 @@ def run_once_benchmark(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
-#: The committed perf-trajectory summary store (repro.obs.regress);
-#: raw BENCH_*.json runs stay machine-local under benchmarks/out/.
+#: The committed perf-trajectory store (repro.obs.regress).
 TRAJECTORY_DIR = pathlib.Path(__file__).parent / "trajectories"
 
 
 def record_bench(benchmark, name: str, metrics: dict) -> None:
-    """Record this run's perf trajectory.  Two stores, both atomic:
-
-    * the raw machine-local ``BENCH_<name>.json`` baseline (under
-      ``benchmarks/out/``; override with ``REPRO_BENCH_BASELINE_DIR``),
-      never committed;
-    * the committed summary trajectory under
-      ``benchmarks/trajectories/`` (override with
-      ``REPRO_TRAJECTORY_DIR``), which `repro bench check` gates.
+    """Append this run to its committed summary trajectory under
+    ``benchmarks/trajectories/`` (override with
+    ``REPRO_TRAJECTORY_DIR``), which `repro bench check` gates.
 
     Call after ``run_once_benchmark`` so the benchmark's measured wall
     time is available.
     """
-    from repro.obs.bench import record_bench_baseline
     from repro.obs.regress import append_trajectory
 
     wall = None
@@ -88,10 +81,6 @@ def record_bench(benchmark, name: str, metrics: dict) -> None:
             wall = float(stats.stats.mean)
         except AttributeError:  # pragma: no cover - stats shape change
             wall = None
-    directory = os.environ.get("REPRO_BENCH_BASELINE_DIR") or OUT_DIR
-    path = record_bench_baseline(name, metrics, wall_s=wall,
-                                 directory=directory)
-    print(f"bench baseline appended to {path}")
     trajectory_dir = pathlib.Path(
         os.environ.get("REPRO_TRAJECTORY_DIR") or TRAJECTORY_DIR)
     trajectory_dir.mkdir(parents=True, exist_ok=True)

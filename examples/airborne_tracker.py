@@ -19,7 +19,7 @@ Run:  python examples/airborne_tracker.py
 import random
 
 from repro.arrivals import UAMSpec
-from repro.api import simulate
+from repro.api import Scenario, simulate
 from repro.tasks import make_task
 from repro.tuf.catalog import (
     awacs_association_tuf,
@@ -75,8 +75,9 @@ def main() -> None:
     print(f"{'style':<10} {'AUR':>6} {'CMR':>6} "
           f"{'mean sojourn [ms]':>18} {'aborts':>7}")
     for sync in ("lockbased", "lockfree"):
-        summary = simulate(tasks, sync=sync, horizon=2_000 * MS, seed=7,
-                           arrival_style="bursty")
+        summary = simulate(Scenario(
+            tasks=tuple(tasks), sync=sync, horizon=2_000 * MS, seed=7,
+            seeding="shared", arrival_style="bursty"))
         result = summary.result
         sojourn = (result.mean_sojourn() or 0) / MS
         print(f"{sync:<10} {summary.aur:6.3f} {summary.cmr:6.3f} "

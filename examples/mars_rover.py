@@ -16,7 +16,7 @@ Run:  python examples/mars_rover.py
 """
 
 from repro.arrivals import UAMSpec
-from repro.api import simulate
+from repro.api import Scenario, simulate
 from repro.tasks import make_task, scale_to_load
 from repro.tuf import LinearDecreasingTUF, PiecewiseLinearTUF, StepTUF
 from repro.units import MS, US
@@ -75,8 +75,9 @@ def main() -> None:
         tasks = scale_to_load(build_rover_taskset(), load)
         row = {}
         for sync in ("lockbased", "lockfree"):
-            summary = simulate(tasks, sync=sync, horizon=8_000 * MS,
-                               seed=11, arrival_style="uniform")
+            summary = simulate(Scenario(
+                tasks=tuple(tasks), sync=sync, horizon=8_000 * MS,
+                seed=11, seeding="shared", arrival_style="uniform"))
             row[sync] = summary
         lb_ovh = row["lockbased"].result.scheduler_overhead_time / MS
         lf_ovh = row["lockfree"].result.scheduler_overhead_time / MS

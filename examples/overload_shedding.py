@@ -25,7 +25,7 @@ SEED = 42
 def run(tasks, plan, shedding: bool):
     return run_once(
         tasks, "lockfree", HORIZON, random.Random(SEED + 1),
-        fault_plan=plan,
+        faults=plan,
         admission=AdmissionPolicy(ShedMode.SHED) if shedding else None,
         retry_guard=RetryGuard(max_retries=8),
         monitors=True,

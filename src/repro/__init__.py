@@ -37,7 +37,6 @@ from repro.api import (
     atomic_write,
     quick_scenario,
     quick_simulation,
-    run_simulations,
     simulate,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "simulate",
     "quick_scenario",
     "quick_simulation",
-    "run_simulations",
     "SimulationSummary",
     "CampaignConfig",
     "CampaignEngine",

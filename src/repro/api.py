@@ -1,18 +1,10 @@
 """High-level convenience API.
 
-The canonical entry point is :func:`simulate` applied to a
+The one entry point is :func:`simulate` applied to a
 :class:`~repro.scenario.Scenario` — a frozen, declarative description of
-one run (workload, sync style, horizon, seed, fault layer).  Everything
-else is a thin wrapper:
-
-* :func:`quick_simulation` builds the quick-look random-workload
-  Scenario (see :func:`quick_scenario`) and runs it;
-* :func:`run_simulations` is its campaign-aware batch counterpart;
-* ``simulate(tasks, sync, horizon, seed, ...)`` — the legacy positional
-  signature — still works but emits a :class:`DeprecationWarning`;
-* the historical kwarg spellings ``fault_plan=`` (for ``faults=``) and
-  ``obs=`` (for ``observer=``) are accepted everywhere with a
-  :class:`DeprecationWarning`.
+one run (workload, sync style, horizon, seed, fault layer).
+:func:`quick_simulation` builds the quick-look random-workload Scenario
+(see :func:`quick_scenario`) and runs it.
 
 The resilient campaign layer is re-exported here for one-stop imports:
 :class:`CampaignConfig` / :class:`CampaignEngine` (crash-isolated
@@ -22,8 +14,6 @@ writes).
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.campaign import (           # noqa: F401 - public re-exports
     CampaignConfig,
@@ -49,7 +39,6 @@ from repro.scenario import Scenario
 from repro.sim.kernel import Kernel, SimulationConfig, SyncMode
 from repro.sim.metrics import SimulationResult
 from repro.sim.overheads import KernelCosts
-from repro.tasks.task import TaskSpec
 from repro.tasks.taskset import approximate_load
 
 __all__ = [
@@ -58,7 +47,6 @@ __all__ = [
     "simulate",
     "quick_scenario",
     "quick_simulation",
-    "run_simulations",
     "build_policy_and_mode",
     "CampaignConfig",
     "CampaignEngine",
@@ -112,27 +100,27 @@ def build_policy_and_mode(sync: str):
     raise ValueError(f"unknown sync style {sync!r}")
 
 
-def _coalesce_deprecated(canonical_name: str, canonical_value,
-                         old_name: str, old_value, *,
-                         stacklevel: int = 3):
-    """Resolve a renamed keyword: prefer the canonical spelling, accept
-    the old one with a DeprecationWarning, reject both at once."""
-    if old_value is None:
-        return canonical_value
-    warnings.warn(
-        f"{old_name}= is deprecated; use {canonical_name}=",
-        DeprecationWarning, stacklevel=stacklevel)
-    if canonical_value is not None:
-        raise TypeError(
-            f"pass {canonical_name}= or {old_name}=, not both")
-    return old_value
+def simulate(scenario: Scenario, *, observer=None, checkpoints=None,
+             checkpoint_sink=None, resume_from=None) -> SimulationSummary:
+    """Run one :class:`~repro.scenario.Scenario`.
 
+    ``observer=`` attaches a recording :class:`repro.obs.Observer`; its
+    end-of-run summary lands on ``summary.result.obs``.  The scenario's
+    fault/degradation fields (see :mod:`repro.faults`) inject a
+    deterministic fault plan, guard UAM admission, bound lock-free
+    retries and attach the runtime invariant monitors; the run's
+    degradation report lands on ``summary.result.degradation``.
 
-def _run_scenario(scenario: Scenario, observer=None, checkpoints=None,
-                  checkpoint_sink=None,
-                  resume_from=None) -> SimulationSummary:
-    """Execute one Scenario on a fresh kernel (optionally restored from
-    a :class:`~repro.sim.checkpoint.KernelCheckpoint`)."""
+    Crash recovery (see :mod:`repro.sim.checkpoint`): ``checkpoints=``
+    attaches a :class:`~repro.sim.checkpoint.CheckpointPolicy` (each
+    snapshot goes to ``checkpoint_sink``, a callable, or accumulates on
+    the kernel); ``resume_from=`` restores a
+    :class:`~repro.sim.checkpoint.KernelCheckpoint` and finishes the
+    run byte-identically to the uninterrupted simulation.
+    """
+    if not isinstance(scenario, Scenario):
+        raise TypeError(f"simulate() takes a repro.Scenario, not "
+                        f"{type(scenario).__name__}")
     tasks, traces = scenario.materialize()
     policy, mode, costs = build_policy_and_mode(scenario.sync)
     if scenario.policy == "edf":
@@ -171,94 +159,6 @@ def _run_scenario(scenario: Scenario, observer=None, checkpoints=None,
         cmr=result.cmr,
         result=result,
     )
-
-
-def simulate(scenario=None, sync=None, horizon=None, seed=None,
-             arrival_style: str = "uniform",
-             trace: bool = False,
-             faults=None,
-             fault_plan=None,
-             admission=None,
-             retry_guard=None,
-             monitors: bool = False,
-             observer=None,
-             obs=None,
-             tasks=None,
-             checkpoints=None,
-             checkpoint_sink=None,
-             resume_from=None) -> SimulationSummary:
-    """Run one simulation.
-
-    Canonical form: ``simulate(scenario)`` with a
-    :class:`~repro.scenario.Scenario` (plus an optional ``observer=`` to
-    attach a recording :class:`repro.obs.Observer`; its end-of-run
-    summary lands on ``summary.result.obs``).
-
-    Legacy form (deprecated, still exact): ``simulate(tasks, sync,
-    horizon, seed, ...)`` — a concrete task list with arrivals drawn
-    from ``random.Random(seed)``.  It is equivalent to::
-
-        simulate(Scenario(tasks=tuple(tasks), sync=sync, horizon=horizon,
-                          seed=seed, seeding="shared", ...))
-
-    The optional fault/degradation arguments (see :mod:`repro.faults`)
-    inject a deterministic fault plan, guard UAM admission, bound
-    lock-free retries, and attach the runtime invariant monitors; the
-    run's degradation report lands on ``summary.result.degradation``.
-
-    Crash recovery (see :mod:`repro.sim.checkpoint`): ``checkpoints=``
-    attaches a :class:`~repro.sim.checkpoint.CheckpointPolicy` (each
-    snapshot goes to ``checkpoint_sink``, a callable, or accumulates on
-    the kernel); ``resume_from=`` restores a
-    :class:`~repro.sim.checkpoint.KernelCheckpoint` and finishes the
-    run byte-identically to the uninterrupted simulation.
-    """
-    observer = _coalesce_deprecated("observer", observer, "obs", obs)
-    faults = _coalesce_deprecated("faults", faults, "fault_plan",
-                                  fault_plan)
-    if isinstance(scenario, Scenario):
-        extras = (sync, horizon, seed, tasks, faults, admission,
-                  retry_guard)
-        if (any(value is not None for value in extras) or trace
-                or monitors or arrival_style != "uniform"):
-            raise TypeError(
-                "simulate(scenario) takes the full configuration from "
-                "the Scenario; only observer=, checkpoints=, "
-                "checkpoint_sink= and resume_from= may be passed "
-                "alongside")
-        return _run_scenario(scenario, observer=observer,
-                             checkpoints=checkpoints,
-                             checkpoint_sink=checkpoint_sink,
-                             resume_from=resume_from)
-    if checkpoints is not None or checkpoint_sink is not None \
-            or resume_from is not None:
-        raise TypeError(
-            "checkpoints=/checkpoint_sink=/resume_from= require the "
-            "canonical simulate(scenario) form")
-    if tasks is None:
-        tasks = scenario
-    if tasks is None or sync is None or horizon is None or seed is None:
-        raise TypeError(
-            "simulate() needs a Scenario, or the legacy "
-            "(tasks, sync, horizon, seed) signature")
-    warnings.warn(
-        "simulate(tasks, sync, horizon, seed, ...) is deprecated; "
-        "build a repro.Scenario and call simulate(scenario)",
-        DeprecationWarning, stacklevel=2)
-    legacy = Scenario(
-        sync=sync,
-        horizon=horizon,
-        seed=seed,
-        tasks=tuple(tasks),
-        seeding="shared",
-        arrival_style=arrival_style,
-        trace=trace,
-        faults=faults,
-        admission=admission,
-        retry_guard=retry_guard,
-        monitors=monitors,
-    )
-    return _run_scenario(legacy, observer=observer)
 
 
 def quick_scenario(n_tasks: int = 5,
@@ -307,51 +207,11 @@ def quick_simulation(n_tasks: int = 5,
                      seed: int = 0,
                      tuf_class: str = "step",
                      arrival_style: str = "uniform",
-                     observer=None,
-                     obs=None) -> SimulationSummary:
+                     observer=None) -> SimulationSummary:
     """One-call random-workload simulation (see the package docstring):
     a thin wrapper over ``simulate(quick_scenario(...))``."""
-    observer = _coalesce_deprecated("observer", observer, "obs", obs)
     scenario = quick_scenario(
         n_tasks=n_tasks, n_objects=n_objects, sync=sync, load=load,
         horizon_us=horizon_us, seed=seed, tuf_class=tuf_class,
         arrival_style=arrival_style)
     return simulate(scenario, observer=observer)
-
-
-def run_simulations(seeds: list[int],
-                    n_tasks: int = 5,
-                    n_objects: int = 3,
-                    sync: str = "lockfree",
-                    load: float = 0.8,
-                    horizon_us: int = 500_000,
-                    tuf_class: str = "step",
-                    arrival_style: str = "uniform",
-                    campaign: "CampaignConfig | CampaignEngine | None" = None
-                    ) -> list[SimulationSummary]:
-    """Batch counterpart of :func:`quick_simulation`: one seeded run per
-    entry of ``seeds``, optionally routed through the resilient campaign
-    engine (``campaign=CampaignConfig(workers=4, ...)``).  Each trial
-    derives everything from its own seed (a seed-parameterized
-    :func:`quick_scenario`), so serial and parallel execution return
-    identical summaries; trials that failed terminally under a campaign
-    are dropped from the returned list.
-    """
-    from repro.campaign import as_engine
-
-    engine = as_engine(campaign, tag=f"quick:{sync}")
-    if engine is None:
-        return [
-            quick_simulation(n_tasks=n_tasks, n_objects=n_objects,
-                             sync=sync, load=load, horizon_us=horizon_us,
-                             seed=seed, tuf_class=tuf_class,
-                             arrival_style=arrival_style)
-            for seed in seeds
-        ]
-    batch = engine.map(
-        quick_simulation,
-        [(n_tasks, n_objects, sync, load, horizon_us, seed, tuf_class,
-          arrival_style)
-         for seed in seeds],
-    )
-    return batch.values

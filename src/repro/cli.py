@@ -12,7 +12,7 @@ Commands:
   degradation report;
 * ``profile`` — one fully instrumented run (``repro.obs``): Chrome
   trace-event JSON for ``chrome://tracing``/Perfetto, JSONL event
-  streams, a perf-summary table, and ``BENCH_*.json`` baselines;
+  streams and a perf-summary table;
 * ``bench`` — the perf-regression loop over the committed
   ``benchmarks/trajectories/`` store: ``record`` appends an
   instrumented run's summary, ``check`` gates (exit 1 on a detected
@@ -288,8 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="write the event stream as JSON lines")
     profile.add_argument("--summary-out", default=None, metavar="PATH",
                          help="also write the perf-summary table to a file")
-    profile.add_argument("--bench", default=None, metavar="NAME",
-                         help="append a run entry to BENCH_<NAME>.json")
     profile.add_argument("--json", default=None, metavar="PATH",
                          help="write a machine-readable summary")
 
@@ -591,7 +589,6 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from repro.obs.bench import record_bench_baseline
     from repro.obs.exporters import (
         render_summary,
         write_chrome_trace,
@@ -621,10 +618,6 @@ def _cmd_profile(args) -> int:
     if args.summary_out:
         atomic_write(args.summary_out, text + "\n")
         print(f"perf summary written to {args.summary_out}")
-    if args.bench:
-        path = record_bench_baseline(args.bench, prof.bench_metrics(),
-                                     wall_s=prof.wall_s)
-        print(f"bench baseline appended to {path}")
     _write_json(args, {"command": "profile", **prof.headline()},
                 obs=summary)
     return 0

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from repro.api import _coalesce_deprecated, simulate
+from repro.api import simulate
 from repro.arrivals.generators import generator_for
 from repro.campaign import CampaignConfig, CampaignEngine, as_engine
 from repro.campaign.spec import TrialSpec
@@ -41,12 +41,10 @@ def run_once(tasks: list[TaskSpec], sync: str, horizon: int,
              retry_policy: RetryPolicy = RetryPolicy.ON_CONFLICT,
              trace: bool = False,
              faults: "FaultPlan | None" = None,
-             fault_plan: "FaultPlan | None" = None,
              admission: "AdmissionPolicy | None" = None,
              retry_guard: "RetryGuard | None" = None,
              monitors: bool = False,
-             observer=None,
-             obs=None) -> SimulationResult:
+             observer=None) -> SimulationResult:
     """One simulation of a concrete task set: a thin wrapper over
     :func:`repro.api.simulate`.
 
@@ -54,12 +52,8 @@ def run_once(tasks: list[TaskSpec], sync: str, horizon: int,
     traces are drawn here and handed to the Scenario explicitly rather
     than re-derived from a seed.  The optional fault layer and
     ``observer`` arguments mirror
-    :class:`repro.sim.kernel.SimulationConfig`; ``fault_plan=`` and
-    ``obs=`` are deprecated spellings of ``faults=`` / ``observer=``.
+    :class:`repro.sim.kernel.SimulationConfig`.
     """
-    faults = _coalesce_deprecated("faults", faults, "fault_plan",
-                                  fault_plan)
-    observer = _coalesce_deprecated("observer", observer, "obs", obs)
     traces = [
         generator_for(task.arrival, arrival_style).generate(rng, horizon)
         for task in tasks

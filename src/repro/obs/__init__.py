@@ -2,14 +2,15 @@
 
 Spans, counters and histograms threaded through the simulated kernel,
 the scheduler policies and the campaign engine; exporters for Chrome
-trace-event JSON, JSONL event streams, a compact perf summary, and the
-``BENCH_*.json`` perf-trajectory baselines.
+trace-event JSON, JSONL event streams and a compact perf summary; and
+the perf-regression gate over the committed bench trajectories
+(:mod:`repro.obs.regress`, the one bench store).
 
 Only :mod:`repro.obs.events` and :mod:`repro.obs.observer` load eagerly
 (they are stdlib-only, so instrumented modules deep in the import graph
 — the kernel, the campaign engine — can import :data:`NULL_OBSERVER`
-without cycles).  The exporters, bench baselines and the profile runner
-resolve lazily on first attribute access.
+without cycles).  The exporters, the regression gate and the profile
+runner resolve lazily on first attribute access.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ _LAZY = {
     "events_jsonl": "repro.obs.exporters",
     "write_jsonl": "repro.obs.exporters",
     "render_summary": "repro.obs.exporters",
-    "record_bench_baseline": "repro.obs.bench",
-    "load_baseline": "repro.obs.bench",
-    "baseline_path": "repro.obs.bench",
     "run_profile": "repro.obs.profile",
     "ProfileResult": "repro.obs.profile",
     "PROFILE_WORKLOADS": "repro.obs.profile",

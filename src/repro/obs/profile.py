@@ -59,8 +59,8 @@ class ProfileResult:
         }
 
     def bench_metrics(self) -> dict[str, Any]:
-        """Deterministic metrics for a ``BENCH_*.json`` trajectory entry
-        (wall time is passed alongside, not inside)."""
+        """Deterministic metrics for a ``repro bench record`` trajectory
+        entry (wall time is passed alongside, not inside)."""
         sched = self.observer.summary()["scheduler"]
         return {
             "workload": self.workload,

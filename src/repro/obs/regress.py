@@ -1,12 +1,11 @@
 """Perf-regression detection over committed bench trajectories.
 
-The capture side (:mod:`repro.obs.bench`, ``benchmarks/conftest``)
-appends raw per-machine ``BENCH_*.json`` runs; those stay un-committed.
-This module owns the *committed* half of the loop: a per-bench summary
-trajectory under ``benchmarks/trajectories/<bench>.json`` — one compact
-record per recorded run (scalar summary metrics plus wall time), capped
-and evicted oldest-first — and the detector ``python -m repro bench
-check`` runs against it.
+This module is the one bench store: a per-bench summary trajectory
+under ``benchmarks/trajectories/<bench>.json`` — one compact record per
+recorded run (scalar summary metrics plus wall time), capped and
+evicted oldest-first — appended by ``benchmarks/conftest.record_bench``
+and ``python -m repro bench record``, and the detector ``python -m
+repro bench check`` runs against it.
 
 Detection is deliberately robust rather than clever (Alistarh et al.'s
 point that progress claims only hold under *measured* scheduler

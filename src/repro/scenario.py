@@ -3,11 +3,10 @@
 A :class:`Scenario` is a frozen value object that captures *everything*
 that defines one simulation run — workload, synchronization style,
 horizon, seed and seeding convention, arrival generation, the optional
-fault/degradation layer — so that one canonical entry point,
-:func:`repro.api.simulate`, can execute it.  The older convenience
-helpers (``quick_simulation``, ``run_simulations``,
-``experiments.runner.run_once``) are thin wrappers that build a Scenario
-and call ``simulate``.
+fault/degradation layer — so that the one entry point,
+:func:`repro.api.simulate`, can execute it.  The convenience helpers
+(``quick_simulation``, ``experiments.runner.run_once``) are thin
+wrappers that build a Scenario and call ``simulate``.
 
 Two sourcing styles are supported, exactly one of which must be set:
 
@@ -19,15 +18,15 @@ Two sourcing styles are supported, exactly one of which must be set:
   optionally with explicit ``arrival_traces`` (used by ``run_once``,
   whose caller owns the RNG that produced the traces).
 
-Seeding conventions (``seeding=``), preserved bit-for-bit from the
-legacy helpers:
+Seeding conventions (``seeding=``):
 
 * ``"shared"`` — one ``random.Random(seed)`` stream builds the task set
-  (if any) and then continues into arrival generation.  This is the
-  historical ``simulate(tasks, ...)`` / ``simulation_trial`` behaviour.
+  (if any) and then continues into arrival generation.  With explicit
+  ``tasks=`` this equals ``run_once(tasks, ..., random.Random(seed))``;
+  with ``workload=`` it is the ``simulation_trial`` behaviour.
 * ``"split"`` — tasks from ``Random(seed)``, arrivals from
-  ``Random(seed + 1)``.  This is the historical ``quick_simulation``
-  behaviour (which passed ``seed + 1`` to ``simulate``).
+  ``Random(seed + 1)``.  This is the :func:`repro.api.quick_scenario`
+  convention.
 """
 
 from __future__ import annotations

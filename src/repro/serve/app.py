@@ -310,7 +310,6 @@ class ServeApp:
         started = self._clock()
         status, payload, headers = self._handle_simulate(body)
         self._count(status, str(payload.get("reason", "")) or "")
-        self.observer.counter(f"serve.responses.{status}")
         self.observer.histogram("serve.request_s", self._clock() - started)
         return status, payload, headers
 
@@ -464,7 +463,6 @@ class ServeApp:
                               "digest": request.digest})
                 return
             self.breaker.record_failure()
-            self.observer.counter(f"serve.pool_failures.{failure.kind}")
             self._answer(
                 request, 500,
                 {"error": "simulation_failed", "reason": failure.kind,

@@ -13,6 +13,12 @@ Two end-to-end recovery stories, each against live subprocesses:
   exactly once (zero duplicated — the content-addressed cache is the
   commit record), answer no 5xx, and return payloads byte-identical to
   a local ``simulate()``.
+
+Every child starts in its own session, so its pool workers share its
+process group.  The mid-test kill hits the parent process alone (the
+warm-restart check rebinds the port while its orphaned workers still
+live); teardown SIGKILLs every group the test started, so no worker
+outlives the test.
 """
 
 import json
@@ -37,6 +43,34 @@ def _env():
     src = str(REPO / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+@pytest.fixture
+def spawn():
+    """``spawn(cmd, **popen_kwargs)`` starts ``cmd`` as the leader of a
+    new process group; every group is SIGKILLed at teardown."""
+    groups = []
+
+    def _spawn(cmd, **kwargs):
+        proc = subprocess.Popen(cmd, env=_env(), start_new_session=True,
+                                **kwargs)
+        groups.append(proc.pid)
+        return proc
+
+    yield _spawn
+    for group in groups:
+        try:
+            os.killpg(group, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+def _run(spawn, cmd):
+    """Run ``cmd`` to completion; returns ``(returncode, stdout, stderr)``."""
+    proc = spawn(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                 text=True)
+    stdout, stderr = proc.communicate(timeout=300)
+    return proc.returncode, stdout, stderr
 
 
 def _wait_for(predicate, timeout_s: float, message: str):
@@ -79,24 +113,21 @@ def _journaled_ok(journal) -> int:
 
 
 @pytest.mark.parametrize("kill_after", [1, 3])
-def test_campaign_sigkill_and_resume(tmp_path, kill_after):
+def test_campaign_sigkill_and_resume(tmp_path, kill_after, spawn):
     journal = tmp_path / "journal.jsonl"
     ckdir = tmp_path / "checkpoints"
 
     # Expected values: one uninterrupted run in its own directories.
-    clean = subprocess.run(
-        _campaign_cmd(tmp_path / "clean.jsonl", tmp_path / "clean-ck",
-                      resume=False),
-        env=_env(), capture_output=True, text=True, timeout=300)
-    assert clean.returncode == 0, clean.stderr
-    expected = json.loads(clean.stdout)["values"]
+    code, stdout, stderr = _run(spawn, _campaign_cmd(
+        tmp_path / "clean.jsonl", tmp_path / "clean-ck", resume=False))
+    assert code == 0, stderr
+    expected = json.loads(stdout)["values"]
     assert len(expected) == N_TRIALS
 
     # Round 1: kill -9 once `kill_after` trials are journaled, at a
     # jittered moment inside the next trial's execution.
-    proc = subprocess.Popen(_campaign_cmd(journal, ckdir, resume=False),
-                            env=_env(), stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
+    proc = spawn(_campaign_cmd(journal, ckdir, resume=False),
+                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         _wait_for(lambda: _journaled_ok(journal) >= kill_after,
                   timeout_s=240, message=f"{kill_after} journaled trials")
@@ -111,11 +142,10 @@ def test_campaign_sigkill_and_resume(tmp_path, kill_after):
     # Round 2: resume.  Zero lost: every trial value present and equal
     # to the uninterrupted run.  Zero duplicated: every trial journaled
     # before the kill is served from the journal, not recomputed.
-    rerun = subprocess.run(_campaign_cmd(journal, ckdir, resume=True),
-                           env=_env(), capture_output=True, text=True,
-                           timeout=300)
-    assert rerun.returncode == 0, rerun.stderr
-    report = json.loads(rerun.stdout)
+    code, stdout, stderr = _run(spawn,
+                                _campaign_cmd(journal, ckdir, resume=True))
+    assert code == 0, stderr
+    report = json.loads(stdout)
     assert report["ok"]
     assert json.dumps(report["values"], sort_keys=True) == \
         json.dumps(expected, sort_keys=True)
@@ -160,15 +190,22 @@ def _post(url, scenario, timeout=60.0):
         return response.status, json.loads(response.read())
 
 
-def _start_server(cache_dir, wal, port=0):
-    proc = subprocess.Popen(
-        [sys.executable, str(HERE / "_serve_proc.py"),
-         str(cache_dir), str(wal), str(port)],
-        env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True)
+def _start_server(spawn, cache_dir, wal, port=0):
+    proc = spawn([sys.executable, str(HERE / "_serve_proc.py"),
+                  str(cache_dir), str(wal), str(port)],
+                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     url = proc.stdout.readline().strip()
     assert url.startswith("http"), proc.stderr.read()
     return proc, url
+
+
+def _post_until_killed(url, scenario):
+    """A flood request: the kill (or the teardown reap) drops its
+    connection, which is the expected end."""
+    try:
+        _post(url, scenario)
+    except OSError:
+        pass
 
 
 def _wal_digests(wal) -> set:
@@ -187,7 +224,7 @@ def _wal_digests(wal) -> set:
     return digests
 
 
-def test_serve_sigkill_warm_restart(tmp_path):
+def test_serve_sigkill_warm_restart(tmp_path, spawn):
     import threading
 
     from repro.api import simulate
@@ -197,14 +234,14 @@ def test_serve_sigkill_warm_restart(tmp_path):
     wal = tmp_path / "requests.wal"
     scenarios = _serve_scenarios(6)
 
-    proc, url = _start_server(cache_dir, wal)
+    proc, url = _start_server(spawn, cache_dir, wal)
     threads = []
     try:
         # Flood more work than the two dispatchers can finish, so the
         # kill lands with requests both in flight and queued.
         for scenario in scenarios:
-            thread = threading.Thread(target=lambda s=scenario:
-                                      _post(url, s), daemon=True)
+            thread = threading.Thread(target=_post_until_killed,
+                                      args=(url, scenario), daemon=True)
             thread.start()
             threads.append(thread)
         _wait_for(lambda: len(_wal_digests(wal)) == len(scenarios),
@@ -223,7 +260,7 @@ def test_serve_sigkill_warm_restart(tmp_path):
     # SIGKILLed server's orphaned pool workers must not hold the
     # inherited listener against the rebind.
     port = int(url.rsplit(":", 1)[1])
-    proc, url = _start_server(cache_dir, wal, port=port)
+    proc, url = _start_server(spawn, cache_dir, wal, port=port)
     try:
         def recovered():
             try:

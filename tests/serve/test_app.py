@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import re
 import threading
 import time
 
@@ -159,6 +160,26 @@ class TestBreaker:
         assert status == 200                     # probe succeeded
         assert app.breaker.state == CLOSED
         assert app.breaker.transitions >= 3
+
+
+class TestMetrics:
+    def test_each_serve_count_is_reported_once(self, app_factory):
+        """Responses and pool failures appear only as their labelled
+        families, not again as per-status/per-kind observer counters."""
+        app = app_factory(max_attempts=1, chaos=ChaosPlan(crash=(0,)))
+        status, _, _ = app.handle_simulate(
+            scenario_body(seed=20, deadline_s=20.0))
+        assert status == 500
+        status, _, _ = app.handle_simulate(
+            scenario_body(seed=21, deadline_s=20.0))
+        assert status == 200
+        text = app.render_metrics()
+        lines = text.splitlines()
+        assert 'repro_serve_responses_total{code="200"} 1' in lines
+        assert 'repro_serve_responses_total{code="500"} 1' in lines
+        assert 'repro_serve_pool_failures_total{kind="crash"} 1' in lines
+        assert re.findall(r"^repro_serve_(?:responses|pool_failures)_"
+                          r"(?!total\{).*$", text, re.M) == []
 
 
 class TestDrain:

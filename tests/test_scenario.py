@@ -1,5 +1,5 @@
-"""The unified Scenario API: validation, serialization round-trip, the
-legacy-wrapper equivalences and the deprecated-kwarg shims."""
+"""The unified Scenario API: validation, serialization round-trip and
+the wrapper equivalences."""
 
 import json
 import random
@@ -91,21 +91,28 @@ def test_from_dict_rejects_unknown_keys():
 
 def test_quick_simulation_equals_quick_scenario_run():
     direct = simulate(quick_scenario(n_tasks=4, horizon_us=20_000, seed=3))
-    wrapped = quick_simulation(n_tasks=4, horizon_us=20_000, seed=3)
+    wrapped = quick_simulation(n_tasks=4, horizon_us=20_000, seed=3,
+                               observer=Observer())
+    assert wrapped.result.obs is not None
     assert wrapped.result.records == direct.result.records
     assert wrapped.aur == direct.aur and wrapped.cmr == direct.cmr
 
 
-def test_legacy_simulate_signature_warns_and_matches():
+@pytest.mark.parametrize("retry_policy", list(RetryPolicy),
+                         ids=lambda policy: policy.value)
+def test_shared_seeding_scenario_equals_run_once(retry_policy):
+    """An explicit-tasks Scenario with ``seeding="shared"`` draws its
+    arrivals from ``Random(seed)`` exactly as ``run_once`` does from the
+    RNG it is handed."""
     tasks = paper_taskset(random.Random(0), n_tasks=3, n_objects=2)
-    with pytest.warns(DeprecationWarning):
-        legacy = simulate(tasks, "lockfree", 20_000_000, 5)
     scenario = Scenario(sync="lockfree", horizon=20_000_000, seed=5,
-                        tasks=tuple(tasks), seeding="shared")
-    canonical = simulate(scenario)
-    assert legacy.result.records == canonical.result.records
-    assert legacy.result.scheduler_invocations == \
-        canonical.result.scheduler_invocations
+                        tasks=tuple(tasks), seeding="shared",
+                        retry_policy=retry_policy)
+    canonical = simulate(scenario).result
+    direct = run_once(tasks, "lockfree", 20_000_000, random.Random(5),
+                      retry_policy=retry_policy)
+    assert canonical.records == direct.records
+    assert canonical.scheduler_invocations == direct.scheduler_invocations
 
 
 def test_scenario_call_rejects_extra_legacy_arguments():
@@ -114,6 +121,9 @@ def test_scenario_call_rejects_extra_legacy_arguments():
         simulate(scenario, sync="lockfree")
     with pytest.raises(TypeError):
         simulate(scenario, monitors=True)
+    tasks = paper_taskset(random.Random(0), n_tasks=2, n_objects=2)
+    with pytest.raises(TypeError, match="Scenario"):
+        simulate(tasks)
 
 
 def test_run_once_is_deterministic_in_its_rng():
@@ -122,43 +132,6 @@ def test_run_once_is_deterministic_in_its_rng():
     second = run_once(tasks, "lockbased", 20_000_000, random.Random(9))
     assert first.records == second.records
     assert first.scheduler_overhead_time == second.scheduler_overhead_time
-
-
-# ----------------------------------------------------------------------
-# Deprecated-kwarg shims
-# ----------------------------------------------------------------------
-
-def test_fault_plan_alias_warns_everywhere():
-    tasks = paper_taskset(random.Random(0), n_tasks=2, n_objects=2)
-    plan = FaultPlan(seed=3)
-    with pytest.warns(DeprecationWarning, match="fault_plan"):
-        run_once(tasks, "lockfree", 5_000_000, random.Random(1),
-                 fault_plan=plan)
-    with pytest.warns(DeprecationWarning):
-        simulate(tasks, "lockfree", 5_000_000, 1, fault_plan=plan)
-    with pytest.raises(TypeError):
-        run_once(tasks, "lockfree", 5_000_000, random.Random(1),
-                 faults=plan, fault_plan=plan)
-
-
-def test_obs_alias_warns_and_still_attaches():
-    observer = Observer()
-    with pytest.warns(DeprecationWarning, match="obs"):
-        summary = quick_simulation(n_tasks=3, horizon_us=10_000, seed=2,
-                                   obs=observer)
-    assert summary.result.obs is not None
-    with pytest.raises(TypeError):
-        quick_simulation(n_tasks=3, horizon_us=10_000, seed=2,
-                         observer=Observer(), obs=Observer())
-
-
-def test_canonical_kwargs_do_not_warn(recwarn):
-    tasks = paper_taskset(random.Random(0), n_tasks=2, n_objects=2)
-    run_once(tasks, "lockfree", 5_000_000, random.Random(1),
-             faults=FaultPlan(seed=3), observer=Observer())
-    deprecations = [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-    assert deprecations == []
 
 
 # ----------------------------------------------------------------------
