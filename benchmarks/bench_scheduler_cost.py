@@ -7,8 +7,8 @@ counts, demonstrating the asymptotic gap the paper attributes to the
 pytest-benchmark timing target, unlike the campaign benches.
 
 Every timed call uses a fresh ``now`` so each pass is a distinct
-scheduling event: a repeated identical call would be served by the
-policies' exact memo and measure a cache hit instead of the algorithm.
+scheduling event: at one instant the schedule-repair cache would replay
+the previous pass's decisions instead of running the algorithm.
 ``test_fastpath_speedup`` additionally gates the incremental fast path
 itself — the same pass with ``REPRO_NO_FASTPATH=1`` (the from-scratch
 reference construction) must be at least 3x slower at n >= 64 — and
@@ -81,10 +81,12 @@ def _timed(policy, jobs, locks, repeats=10, trials=3):
     return best
 
 
-def _timed_reference(policy, jobs, locks, **kwargs):
+def _timed_reference(policy_class, jobs, locks, **kwargs):
+    """``_timed`` on the reference path.  The policy is built inside the
+    block because it reads ``REPRO_NO_FASTPATH`` at construction."""
     os.environ["REPRO_NO_FASTPATH"] = "1"
     try:
-        return _timed(policy, jobs, locks, **kwargs)
+        return _timed(policy_class(), jobs, locks, **kwargs)
     finally:
         del os.environ["REPRO_NO_FASTPATH"]
 
@@ -101,9 +103,9 @@ def test_fastpath_speedup():
     for n in (64, 96):
         jobs, locks = _jobs_with_contention(n)
         t_lb_fast = _timed(LockBasedRUA(), jobs, locks)
-        t_lb_ref = _timed_reference(LockBasedRUA(), jobs, locks)
+        t_lb_ref = _timed_reference(LockBasedRUA, jobs, locks)
         t_lf_fast = _timed(LockFreeRUA(), jobs, None)
-        t_lf_ref = _timed_reference(LockFreeRUA(), jobs, None)
+        t_lf_ref = _timed_reference(LockFreeRUA, jobs, None)
         speedups[("lockbased", n)] = t_lb_ref / t_lb_fast
         speedups[("lockfree", n)] = t_lf_ref / t_lf_fast
         # Suffix "_speedup" puts these under the gate's lower-is-worse

@@ -11,15 +11,13 @@ event (RUA drops infeasible jobs from its tentative schedule); they remain
 live and will be reconsidered at the next event or aborted at their
 critical times.
 
-``schedule`` is a concrete template method: it validates the inputs, runs
-the exact wall-clock fast path (empty-pass short-circuit and
-unchanged-state memoization — disabled by ``REPRO_NO_FASTPATH``), emits
-the policy's deterministic observability counters identically on every
-path, and delegates the actual decision to ``_compute``.  Because a
-scheduling pass is a deterministic pure function of ``(jobs' scheduling
-state, lock state, now)``, replaying a memoized pass is *exact*: the
-simulated cost model is still charged by the kernel, so fixed-seed results
-are byte-identical with the fast path on or off (see DESIGN.md §12).
+``schedule`` is a concrete template method: it validates the inputs,
+short-circuits provably empty passes on the fast path (disabled by
+``REPRO_NO_FASTPATH``), emits the policy's deterministic observability
+counters identically on every path, and delegates the actual decision to
+``_compute``.  The simulated cost model is charged by the kernel on every
+pass, skipped or not, so fixed-seed results are byte-identical with the
+fast path on or off (see DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -38,7 +36,8 @@ def fastpath_enabled() -> bool:
     """True unless ``REPRO_NO_FASTPATH`` is set (to anything non-empty).
 
     The reference path recomputes every scheduling pass from scratch; the
-    fast path memoizes, short-circuits and repairs.  Both produce
+    fast path short-circuits and repairs.  Policies read it once, at
+    construction (``SchedulerPolicy.fast``).  Both produce
     identical results by construction — the equivalence suite
     (``tests/core/test_fastpath_equivalence.py``) pins it.
     """
@@ -50,8 +49,8 @@ class PassResult:
     """Outcome of one scheduling pass, as produced by ``_compute``.
 
     Carries the eligibility order plus the deterministic counter material
-    the base class emits, so memoized replays report exactly what a fresh
-    computation would have.
+    the base class emits, so every path reports exactly what the
+    reference computation would have.
     """
 
     order: list[Job]
@@ -76,52 +75,27 @@ class SchedulerPolicy(ABC):
     #: Whether this policy reports the ``sched.*`` counter family (the
     #: RUA policies do; the EDF/LLF baselines never have).
     emits_counters: bool = False
-    #: Whether exact pass memoization pays for itself.  True for policies
-    #: whose ``_compute`` is super-linear (RUA); the baseline sorts are
-    #: cheaper than building the state signature.
-    memoizes: bool = False
 
     def __init__(self) -> None:
         self._deadlock_victims: list[Job] = []
-        self._memo_key: tuple | None = None
-        self._memo_result: PassResult | None = None
+        #: Whether this policy runs the fast path, resolved once here
+        #: rather than read from the environment on every pass.
+        self.fast = fastpath_enabled()
 
     def schedule(self, jobs: list[Job], locks: LockManager | None,
                  now: int) -> list[Job]:
         """Return jobs in eligibility order (head runs first)."""
         self._validate(jobs, locks)
         obs = self.obs
-        fast = fastpath_enabled()
-        key: tuple | None = None
-        if fast:
-            if not jobs:
-                # Provably-empty pass: no candidates, the order is [] and
-                # no policy state can change.  Emit the same counters a
-                # real pass over zero jobs would.
-                if obs.enabled:
-                    self._emit_counters(PassResult(order=[]))
-                    obs.counter("sched.pass.skipped")
-                return []
-            if self.memoizes:
-                key = self._signature(jobs, locks, now)
-                if key is not None and key == self._memo_key:
-                    result = self._memo_result
-                    if obs.enabled:
-                        self._emit_counters(result)
-                        obs.counter("sched.cache.hit")
-                    return list(result.order)
-        result = self._compute(jobs, locks, now)
-        if fast and self.memoizes:
-            # Never memoize a pass that selected deadlock victims: the
-            # ``request_abort`` side effect would not replay.
-            if result.victims == 0:
-                self._memo_key = key
-                self._memo_result = result
-            else:
-                self._memo_key = None
-                self._memo_result = None
+        if self.fast and not jobs:
+            # Provably-empty pass: no candidates, the order is [] and no
+            # policy state can change.  Emit the same counters a real
+            # pass over zero jobs would.
             if obs.enabled:
-                obs.counter("sched.cache.miss")
+                self._emit_counters(PassResult(order=[]))
+                obs.counter("sched.pass.skipped")
+            return []
+        result = self._compute(jobs, locks, now)
         if obs.enabled:
             self._emit_counters(result)
         return result.order
@@ -130,8 +104,7 @@ class SchedulerPolicy(ABC):
                  now: int) -> PassResult:
         """The policy's decision procedure.  Must be a deterministic pure
         function of the jobs' scheduling state, the lock state and ``now``
-        (plus the ``request_abort`` channel, which disables memoization
-        for the pass)."""
+        (plus the ``request_abort`` channel)."""
         raise NotImplementedError(
             f"{type(self).__name__} must implement _compute() "
             "(or override schedule() entirely)")
@@ -139,44 +112,25 @@ class SchedulerPolicy(ABC):
     def _validate(self, jobs: list[Job], locks: LockManager | None) -> None:
         """Input validation hook; runs before any fast-path shortcut."""
 
-    def _signature(self, jobs: list[Job], locks: LockManager | None,
-                   now: int) -> tuple | None:
-        """Hashable snapshot of everything ``_compute`` may read.
-
-        Per job that is the scheduling-relevant mutable state (segment
-        position/progress and blocking target — ``remaining_time``,
-        PUDs, laxities and dependency chains all derive from these plus
-        immutable task attributes), keyed by the never-recycled job
-        serial; plus the lock manager's mutation version and the clock.
-        """
-        lock_version = -1 if locks is None else locks.version
-        return (
-            now, lock_version,
-            tuple((job.serial, job.segment_index, job.segment_progress,
-                   job.blocked_on) for job in jobs),
-        )
-
     def reset_caches(self) -> None:
-        """Drop every memoized scheduling artifact.
+        """Drop every cached scheduling artifact.
 
         Called on checkpoint restore: restored jobs are new objects with
-        fresh serials, so any pass memoized before the snapshot — the
-        exact-pass memo here, or a subclass's prefix-replay
-        :class:`~repro.core.schedule_cache.ScheduleCache` — must never
-        replay.  Caches are performance-only (the fast-path equivalence
-        gate guarantees identical decisions without them), so dropping
-        them cannot change any schedule.
+        fresh serials, so a subclass's prefix-replay
+        :class:`~repro.core.schedule_cache.ScheduleCache` must never
+        replay a pass from before the snapshot.  Caches are
+        performance-only (the fast-path equivalence gate guarantees
+        identical decisions without them), so dropping them cannot change
+        any schedule.
         """
-        self._memo_key = None
-        self._memo_result = None
         self._deadlock_victims = []
         cache = getattr(self, "_schedule_cache", None)
         if cache is not None:
             cache.invalidate()
 
     def _emit_counters(self, result: PassResult) -> None:
-        """Deterministic per-pass counters, identical on the computed,
-        memoized and short-circuited paths."""
+        """Deterministic per-pass counters, identical on the computed and
+        short-circuited paths."""
         if not self.emits_counters:
             return
         obs = self.obs

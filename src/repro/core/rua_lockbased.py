@@ -14,24 +14,27 @@ Asymptotic cost ``O(n^2 log n)``, dominated by Step 5 (Section 3.6); the
 matching simulated cost is charged through
 :func:`repro.sim.overheads.default_lockbased_rua_cost`.
 
-Step 5 runs through one of three result-identical constructions: when
-every chain is a singleton (no job blocked) the copy-free specialization
-with cross-pass repair (:mod:`repro.core.schedule_cache`); with real
-chains the undo-log in-place builder; under ``REPRO_NO_FASTPATH`` the
-copying Section 3.4 reference.
+On the fast path, a pass first scans for dependency edges.  With none
+(the common case: no job waits for a held object) there can be no cycle
+and every chain is a singleton, so Steps 1 and 3 are skipped outright.
+Step 5 then runs through one of three result-identical constructions:
+when every chain is a singleton the copy-free specialization with
+cross-pass repair (:mod:`repro.core.schedule_cache`); with real chains
+the undo-log in-place builder; under ``REPRO_NO_FASTPATH`` the copying
+Section 3.4 reference, with no edge scan.
 """
 
 from __future__ import annotations
 
 from repro.core.deadlock import detect_deadlock, pick_deadlock_victim
-from repro.core.dependency import all_dependency_chains
-from repro.core.interface import PassResult, SchedulerPolicy, fastpath_enabled
+from repro.core.dependency import all_dependency_chains, blocking_owner
+from repro.core.interface import PassResult, SchedulerPolicy
 from repro.core.pud import chain_pud
 from repro.core.schedule_builder import (
     build_rua_schedule,
     build_rua_schedule_inplace,
 )
-from repro.core.schedule_cache import ScheduleCache, build_singleton_schedule
+from repro.core.schedule_cache import ScheduleCache, singleton_pass
 from repro.sim.locks import LockManager
 from repro.sim.overheads import CostModel, default_lockbased_rua_cost
 from repro.tasks.job import Job
@@ -43,7 +46,6 @@ class LockBasedRUA(SchedulerPolicy):
 
     name = "rua-lockbased"
     emits_counters = True
-    memoizes = True
 
     def __init__(self, cost_model: CostModel | None = None,
                  detect_deadlocks: bool = True) -> None:
@@ -54,6 +56,15 @@ class LockBasedRUA(SchedulerPolicy):
 
     def _compute(self, jobs: list[Job], locks: LockManager | None,
                  now: int) -> PassResult:
+        fast = self.fast
+        if fast and (locks is None or not any(
+                blocking_owner(job, locks) is not None for job in jobs)):
+            # No dependency edge: no cycle to detect and every chain is
+            # the job itself (length 1), exactly what Steps 1 and 3
+            # would find.
+            return singleton_pass(jobs, now, self._schedule_cache,
+                                  self.obs,
+                                  chain_len_max=1 if jobs else 0)
         candidates = list(jobs)
         victims: set[Job] = set()
         # Step 3 first in implementation order: resolving a deadlock
@@ -87,41 +98,23 @@ class LockBasedRUA(SchedulerPolicy):
                 chain_len_max = length
                 if length > 1:
                     singleton = False
-        fast = fastpath_enabled()
         if fast and singleton:
-            # Step 4-5, singleton specialization: every chain is the job
-            # itself, so the PUD inlines (same arithmetic as chain_pud on
-            # a one-job chain) and the copy-free builder applies.
-            entries = []
-            for job in candidates:
-                remaining = job.remaining_time()
-                if remaining <= 0:
-                    pud = float("inf")
-                else:
-                    utility = 0.0 + job.task.tuf.utility(
-                        now + remaining - job.release_time)
-                    pud = utility / remaining
-                entries.append(((-pud, job.critical_time_abs, job.name),
-                                remaining, job))
-            entries.sort(key=lambda entry: entry[0])
-            order = build_singleton_schedule(
-                [(job, remaining, key[1])
-                 for key, remaining, job in entries],
-                now, cache=self._schedule_cache, obs=self.obs)
+            # Victims removed, only singleton chains remain.
+            return singleton_pass(candidates, now, self._schedule_cache,
+                                  self.obs, victims=len(victims),
+                                  chain_len_max=chain_len_max)
+        puds = {job: chain_pud(chains[job], now) for job in candidates}
+        # Step 4: non-increasing PUD; deterministic tie-breaks (earlier
+        # critical time, then name).
+        pud_order = sorted(
+            candidates,
+            key=lambda job: (-puds[job], job.critical_time_abs, job.name),
+        )
+        # Step 5: tentative-schedule construction.
+        if fast:
+            order = build_rua_schedule_inplace(pud_order, chains, now)
         else:
-            puds = {job: chain_pud(chains[job], now) for job in candidates}
-            # Step 4: non-increasing PUD; deterministic tie-breaks
-            # (earlier critical time, then name).
-            pud_order = sorted(
-                candidates,
-                key=lambda job: (-puds[job], job.critical_time_abs,
-                                 job.name),
-            )
-            # Step 5: tentative-schedule construction.
-            if fast:
-                order = build_rua_schedule_inplace(pud_order, chains, now)
-            else:
-                order = build_rua_schedule(pud_order, chains, now)
+            order = build_rua_schedule(pud_order, chains, now)
         return PassResult(order=order,
                           rejections=len(candidates) - len(order),
                           victims=len(victims),

@@ -16,10 +16,10 @@ the two are result-identical by construction and by test.
 
 from __future__ import annotations
 
-from repro.core.interface import PassResult, SchedulerPolicy, fastpath_enabled
+from repro.core.interface import PassResult, SchedulerPolicy
 from repro.core.pud import chain_pud
 from repro.core.schedule_builder import build_rua_schedule
-from repro.core.schedule_cache import ScheduleCache, build_singleton_schedule
+from repro.core.schedule_cache import ScheduleCache, singleton_pass
 from repro.sim.locks import LockManager
 from repro.sim.overheads import CostModel, default_lockfree_rua_cost
 from repro.tasks.job import Job
@@ -30,7 +30,6 @@ class LockFreeRUA(SchedulerPolicy):
 
     name = "rua-lockfree"
     emits_counters = True
-    memoizes = True
 
     def __init__(self, cost_model: CostModel | None = None) -> None:
         super().__init__()
@@ -47,33 +46,13 @@ class LockFreeRUA(SchedulerPolicy):
 
     def _compute(self, jobs: list[Job], locks: LockManager | None,
                  now: int) -> PassResult:
-        if not fastpath_enabled():
-            chains = {job: [job] for job in jobs}
-            puds = {job: chain_pud(chains[job], now) for job in jobs}
-            pud_order = sorted(
-                jobs,
-                key=lambda job: (-puds[job], job.critical_time_abs,
-                                 job.name),
-            )
-            order = build_rua_schedule(pud_order, chains, now)
-            return PassResult(order=order,
-                              rejections=len(jobs) - len(order))
-        # Fast path: inline the singleton-chain PUD (identical arithmetic
-        # to chain_pud over a one-job chain) and run the copy-free
-        # builder with cross-pass repair.
-        entries = []
-        for job in jobs:
-            remaining = job.remaining_time()
-            if remaining <= 0:
-                pud = float("inf")
-            else:
-                utility = 0.0 + job.task.tuf.utility(
-                    now + remaining - job.release_time)
-                pud = utility / remaining
-            entries.append(((-pud, job.critical_time_abs, job.name),
-                            remaining, job))
-        entries.sort(key=lambda entry: entry[0])
-        order = build_singleton_schedule(
-            [(job, remaining, key[1]) for key, remaining, job in entries],
-            now, cache=self._schedule_cache, obs=self.obs)
+        if self.fast:
+            return singleton_pass(jobs, now, self._schedule_cache, self.obs)
+        chains = {job: [job] for job in jobs}
+        puds = {job: chain_pud(chains[job], now) for job in jobs}
+        pud_order = sorted(
+            jobs,
+            key=lambda job: (-puds[job], job.critical_time_abs, job.name),
+        )
+        order = build_rua_schedule(pud_order, chains, now)
         return PassResult(order=order, rejections=len(jobs) - len(order))

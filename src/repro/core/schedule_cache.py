@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
+from repro.core.interface import PassResult
 from repro.tasks.job import Job
 
 #: One candidate, in PUD-examination order: ``(job, remaining, ct)``.
@@ -135,3 +136,35 @@ def build_singleton_schedule(entries: list[Entry], now: int,
                 obs.counter("sched.repair.replayed", prefix)
             obs.counter("sched.repair.computed", recomputed)
     return schedule
+
+
+def singleton_pass(jobs: list[Job], now: int, cache: ScheduleCache,
+                   obs=None, *, victims: int = 0,
+                   chain_len_max: int = 0) -> PassResult:
+    """Steps 2, 4 and 5 of RUA over singleton chains: inline PUDs, the
+    non-increasing-PUD sort and :func:`build_singleton_schedule`.
+
+    The PUD is :func:`repro.core.pud.chain_pud` over a one-job chain,
+    same arithmetic.  Plain tuples sort on ``(-pud, critical time,
+    name)``; the input position settles any tie left (task names are
+    not checked for uniqueness) just as the reference's stable sort
+    does, so two jobs are never compared.  ``victims`` and
+    ``chain_len_max`` pass through to the result.
+    """
+    entries = []
+    for index, job in enumerate(jobs):
+        remaining = job.remaining_time()
+        if remaining <= 0:
+            pud = float("inf")
+        else:
+            utility = 0.0 + job.task.tuf.utility(
+                now + remaining - job.release_time)
+            pud = utility / remaining
+        entries.append((-pud, job.critical_time_abs, job.name, index,
+                        remaining, job))
+    entries.sort()
+    order = build_singleton_schedule(
+        [(job, remaining, ct) for _, ct, _, _, remaining, job in entries],
+        now, cache=cache, obs=obs)
+    return PassResult(order=order, rejections=len(jobs) - len(order),
+                      victims=victims, chain_len_max=chain_len_max)

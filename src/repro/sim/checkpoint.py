@@ -19,7 +19,7 @@ that hold:
 * restored jobs receive *fresh* ``Job.serial`` values (serials are
   process-global and never recycled), and every scheduling-pass cache is
   explicitly dropped via ``SchedulerPolicy.reset_caches()``, so a
-  restored kernel can never replay a stale memoized pass;
+  restored kernel can never replay a stale cached decision;
 * the observer is **not** checkpointed — observation is a side channel
   that must not perturb the simulation (DESIGN.md §10), so a resumed
   run's obs summary covers only the post-restore suffix.
@@ -246,7 +246,8 @@ def _encode_job(job: Job, task_index: int) -> dict[str, Any]:
 def _decode_job(doc: dict[str, Any], tasks) -> Job:
     # ``serial`` is deliberately NOT restored: serials are process-global
     # and never recycled, so a restored job's fresh serial can never
-    # collide with any pass a policy memoized before the crash.
+    # collide with any decision a policy cached before the crash.
+    # ``name`` is derived from task and jid, so it comes back as it was.
     job = Job(task=tasks[doc["task_index"]], jid=doc["jid"],
               release_time=doc["release_time"])
     job.state = JobState(doc["state"])
@@ -583,7 +584,7 @@ def restore_kernel(config: "SimulationConfig",
             for doc in state["trace"]
         ]
 
-    # A restored kernel must never replay a pass memoized before the
+    # A restored kernel must never replay a decision cached before the
     # snapshot: serials changed and Job identities are new objects.
     config.policy.reset_caches()
     kernel._restored = True

@@ -61,7 +61,7 @@ from repro.sim.objects import LockFreeObjectTable, RetryPolicy
 from repro.sim.overheads import KernelCosts
 from repro.sim.tracing import TraceKind, Tracer
 from repro.tasks.job import Job, JobState
-from repro.tasks.segments import ObjectAccess, ReleaseLock
+from repro.tasks.segments import ObjectAccess, ReleaseLock, Segment
 from repro.tasks.task import TaskSpec
 
 if TYPE_CHECKING:  # avoid an import cycle with repro.core
@@ -169,6 +169,8 @@ class Kernel:
         # Lazy per-task Theorem 2 bounds for the live retry comparison
         # (only computed — per task, once — when a retry is observed).
         self._retry_bounds: dict[int, int | None] = {}
+        #: Live-job count -> simulated pass cost (see ``_pass_cost``).
+        self._pass_costs: dict[int, int] = {}
         self._task_index = {
             id(task): index for index, task in enumerate(config.tasks)
         }
@@ -238,6 +240,7 @@ class Kernel:
         if not self._restored:
             self._prime_arrivals()
         ckpt_policy = self.config.checkpoints
+        handlers = self._HANDLERS
         while self._queue:
             next_time = self._queue.peek_time()
             if next_time is None or next_time > self.config.horizon:
@@ -247,7 +250,7 @@ class Kernel:
                 self._monitors.note_clock(time)
             self._advance_running_to(time)
             self._clock = time
-            self._handle(event)
+            handlers[type(event)](self, event)
             self._events_handled += 1
             if ckpt_policy is not None and \
                     self._checkpoint_due(ckpt_policy):
@@ -327,16 +330,6 @@ class Kernel:
     # Event handling
     # ------------------------------------------------------------------
 
-    def _handle(self, event) -> None:
-        if isinstance(event, JobArrival):
-            self._handle_arrival(event)
-        elif isinstance(event, CriticalTimeExpiry):
-            self._handle_expiry(event)
-        elif isinstance(event, Milestone):
-            self._handle_milestone(event)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown event {event!r}")
-
     def _handle_arrival(self, event: JobArrival) -> None:
         task = self.config.tasks[event.task_index]
         if self._admission is not None:
@@ -403,6 +396,16 @@ class Kernel:
             )
         self._finish_current_segment(job)
 
+    #: Event type -> handler, as plain functions called with the kernel.
+    #: Class-level on purpose: a per-instance table of bound methods
+    #: would make every kernel part of a reference cycle, freed only by
+    #: the cyclic garbage collector.
+    _HANDLERS = {
+        JobArrival: _handle_arrival,
+        CriticalTimeExpiry: _handle_expiry,
+        Milestone: _handle_milestone,
+    }
+
     # ------------------------------------------------------------------
     # Segment lifecycle
     # ------------------------------------------------------------------
@@ -434,8 +437,9 @@ class Kernel:
             self._result.lockfree_access_commits += 1
             self._result.lockfree_attempts += 1
             job.finish_segment()
-            self.tracer.emit(self._clock, TraceKind.ACCESS_COMMIT, job.name,
-                             detail=str(segment.obj))
+            if self.tracer.enabled:
+                self.tracer.emit(self._clock, TraceKind.ACCESS_COMMIT,
+                                 job.name, detail=str(segment.obj))
             self._continue_running(job)
             return
         # Compute segment, or an access under SyncMode.NONE.
@@ -453,8 +457,9 @@ class Kernel:
             waiter.blocked_on = None
             self.tracer.emit(self._clock, TraceKind.UNBLOCK, waiter.name)
             self.obs.close_span(("block", waiter.name), self._clock)
-        self.tracer.emit(self._clock, TraceKind.LOCK_RELEASE, job.name,
-                         detail=str(obj))
+        if self.tracer.enabled:
+            self.tracer.emit(self._clock, TraceKind.LOCK_RELEASE, job.name,
+                             detail=str(obj))
 
     def _release_segment(self, job: Job) -> None:
         """Process a :class:`ReleaseLock` segment reached by the running
@@ -475,10 +480,10 @@ class Kernel:
         """Advance the running job into its next segment (or completion)
         without an intervening scheduling event, unless the segment
         boundary itself is one (completion, lock request, unlock)."""
-        if job.current_segment is None:
+        segment = job.current_segment
+        if segment is None:
             self._complete(job)
             return
-        segment = job.current_segment
         sync = self.config.sync
         if isinstance(segment, ReleaseLock):
             self._release_segment(job)
@@ -486,27 +491,28 @@ class Kernel:
         if isinstance(segment, ObjectAccess) and sync is SyncMode.LOCK_BASED:
             # Lock request: a scheduling event.  The job stops here; the
             # acquisition is attempted during the dispatch walk.
-            self.tracer.emit(self._clock, TraceKind.ACCESS_BEGIN, job.name,
-                             detail=str(segment.obj))
+            if self.tracer.enabled:
+                self.tracer.emit(self._clock, TraceKind.ACCESS_BEGIN,
+                                 job.name, detail=str(segment.obj))
             cost = self._cost("lock_overhead")
             self._result.lock_mechanism_time += cost
             self._reschedule(extra_overhead=cost, lock_event=True)
             return
         # Compute segment, SyncMode.NONE access, or lock-free access: keep
         # running without a scheduler pass.
-        delay = self._enter_segment(job, trace=True)
+        delay = self._enter_segment(job, segment, trace=True)
         self._running_since = self._clock + delay
-        self._push_milestone(job)
+        self._push_milestone(job, segment)
 
-    def _enter_segment(self, job: Job, trace: bool) -> int:
-        """Prepare the job's current segment for execution; return extra
-        mechanism delay (CAS attempt cost, retry backoff) to charge
+    def _enter_segment(self, job: Job, segment: Segment | None,
+                       trace: bool) -> int:
+        """Prepare the job's current ``segment`` for execution; return
+        extra mechanism delay (CAS attempt cost, retry backoff) to charge
         before work starts.
 
         Handles the lock-free begin/retry protocol.  Lock-based entry is
         handled in the dispatch walk (acquisition) instead.
         """
-        segment = job.current_segment
         if (self._injector is not None and segment is not None
                 and job.segment_progress == 0 and job.segment_extra == 0):
             extra = self._injector.overrun_for(job)
@@ -521,7 +527,7 @@ class Kernel:
             return 0
         if self._objects.open_access_of(job) is None:
             self._objects.begin(job, segment)
-            if trace:
+            if trace and self.tracer.enabled:
                 self.tracer.emit(self._clock, TraceKind.ACCESS_BEGIN,
                                  job.name, detail=str(segment.obj))
             cost = self._cost("cas_overhead")
@@ -531,8 +537,9 @@ class Kernel:
             wasted = job.restart_access()
             self._objects.record_retry(job)
             self._result.lockfree_attempts += 1
-            self.tracer.emit(self._clock, TraceKind.RETRY, job.name,
-                             detail=f"obj={segment.obj} wasted={wasted}")
+            if self.tracer.enabled:
+                self.tracer.emit(self._clock, TraceKind.RETRY, job.name,
+                                 detail=f"obj={segment.obj} wasted={wasted}")
             if self._monitors is not None:
                 self._monitors.note_retry(self._clock, job)
             if self.obs.enabled:
@@ -601,7 +608,7 @@ class Kernel:
         n = 0
         obs = self.obs
         policy = self.config.policy
-        cost_model = policy.cost_model
+        pass_cost = self._pass_cost
         result = self._result
         lock_view = self._lock_view()
         wall_start = obs.clock() if obs.enabled else 0
@@ -611,7 +618,7 @@ class Kernel:
             # former re-filtering scan.
             live = self._live
             n = len(live)
-            cost += cost_model.cost(n)
+            cost += pass_cost(n)
             result.scheduler_invocations += 1
             passes += 1
             order = policy.schedule(live, lock_view, now)
@@ -659,8 +666,9 @@ class Kernel:
                 and self.config.sync is SyncMode.LOCK_BASED):
             self._monitors.audit_locks(
                 now, list(self._live), self._locks)
-        self.tracer.emit(now, TraceKind.SCHED_PASS, "",
-                         detail=f"n={n} cost={cost}")
+        if self.tracer.enabled:
+            self.tracer.emit(now, TraceKind.SCHED_PASS, "",
+                             detail=f"n={n} cost={cost}")
         if obs.enabled:
             # Wall ns are summary-only (never exported into the trace);
             # the span carries the deterministic simulated cost.
@@ -671,9 +679,7 @@ class Kernel:
             obs.histogram("sched.ready_queue", n)
         self._result.scheduler_overhead_time += cost
         if lock_event:
-            self._result.lock_mechanism_time += (
-                self.config.policy.cost_model.cost(n)
-            )
+            self._result.lock_mechanism_time += pass_cost(n)
         self._dispatch(chosen, cost)
 
     def _walk(self, order: list[Job], n: int,
@@ -691,22 +697,24 @@ class Kernel:
                 if self._locks.try_acquire(job, obj):
                     job.holds_lock = obj
                     job.held_locks.add(obj)
-                    self.tracer.emit(now, TraceKind.LOCK_ACQUIRE, job.name,
-                                     detail=str(obj))
+                    if self.tracer.enabled:
+                        self.tracer.emit(now, TraceKind.LOCK_ACQUIRE,
+                                         job.name, detail=str(obj))
                     return job, blocked_any, extra_cost
                 job.state = JobState.BLOCKED
                 job.blocked_on = obj
                 job.blockings += 1
                 blocked_any = True
-                self.tracer.emit(now, TraceKind.BLOCK, job.name,
-                                 detail=str(obj))
+                if self.tracer.enabled:
+                    self.tracer.emit(now, TraceKind.BLOCK, job.name,
+                                     detail=str(obj))
                 if self.obs.enabled:
                     self.obs.counter("kernel.blockings")
                     self.obs.open_span(("block", job.name),
                                        f"blocked:{obj}", "lock",
                                        job.task.name, now)
                 # The failed acquisition re-activates the scheduler.
-                activation = self.config.policy.cost_model.cost(n)
+                activation = self._pass_cost(n)
                 extra_cost += activation
                 self._result.lock_mechanism_time += activation
                 self._result.scheduler_invocations += 1
@@ -761,17 +769,26 @@ class Kernel:
         if switching:
             start += self._cost("context_switch")
         self._kernel_free_at = start
-        entry_delay = self._enter_segment(chosen, trace=switching)
+        segment = chosen.current_segment
+        entry_delay = self._enter_segment(chosen, segment, trace=switching)
         chosen.state = JobState.RUNNING
         chosen.dispatch_token += 1
         self._running = chosen
         self._running_since = start + entry_delay
-        self.tracer.emit(now, TraceKind.DISPATCH, chosen.name,
-                         detail=f"start={self._running_since}")
-        self._push_milestone(chosen)
+        if self.tracer.enabled:
+            self.tracer.emit(now, TraceKind.DISPATCH, chosen.name,
+                             detail=f"start={self._running_since}")
+        self._push_milestone(chosen, segment)
 
-    def _push_milestone(self, job: Job) -> None:
-        when = self._running_since + job.segment_remaining()
+    def _push_milestone(self, job: Job, segment: Segment | None) -> None:
+        """Queue the instant the job finishes ``segment``, its current
+        one (``Job.segment_remaining`` without re-reading it).  A job
+        dispatched past its last segment (its final unlock was a
+        scheduling event) reaches its milestone at once."""
+        when = self._running_since
+        if segment is not None:
+            when += (segment.duration + job.segment_extra
+                     - job.segment_progress)
         self._queue.push(when, EventPriority.MILESTONE,
                          Milestone(job=job, token=job.dispatch_token))
 
@@ -785,8 +802,9 @@ class Kernel:
         job.completion_time = self._clock
         job.accrued_utility = job.task.tuf.utility(job.sojourn_time())
         self._result.records.append(record_of(job))
-        self.tracer.emit(self._clock, TraceKind.COMPLETE, job.name,
-                         detail=f"utility={job.accrued_utility:.3f}")
+        if self.tracer.enabled:
+            self.tracer.emit(self._clock, TraceKind.COMPLETE, job.name,
+                             detail=f"utility={job.accrued_utility:.3f}")
         if self.obs.enabled:
             self.obs.counter("kernel.completions")
             self.obs.histogram("job.sojourn_ns", job.sojourn_time())
@@ -850,6 +868,14 @@ class Kernel:
                               {"job": job.name,
                                "segment": job.segment_index})
         self._running_since = time
+
+    def _pass_cost(self, n: int) -> int:
+        """The policy's simulated cost of one pass over ``n`` live jobs,
+        memoized per kernel (cost models are pure functions of ``n``)."""
+        cost = self._pass_costs.get(n)
+        if cost is None:
+            cost = self._pass_costs[n] = self.config.policy.cost_model.cost(n)
+        return cost
 
     def _cost(self, name: str) -> int:
         """One fixed kernel cost charge, fault-jittered when a plan with

@@ -31,9 +31,8 @@ class LockManager:
         self.acquisitions = 0
         self.contentions = 0
         #: Monotonic mutation counter: bumped by every operation that can
-        #: change ownership or wait queues.  Scheduling-pass caches fold it
-        #: into their state signature, so any lock-state change invalidates
-        #: memoized passes without walking the tables.
+        #: change ownership or wait queues.  Part of the checkpointed lock
+        #: state (``repro.sim.checkpoint``).
         self.version = 0
 
     # ------------------------------------------------------------------

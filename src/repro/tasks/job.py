@@ -29,13 +29,17 @@ class JobState(Enum):
     ABORTED = "aborted"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Job:
     """One invocation ``J_{i,j}`` of task ``T_i``.
 
     Mutable runtime state owned by the kernel.  Progress is tracked as
     (current segment index, time ticks (ns) completed inside that segment);
     a lock-free retry resets the in-segment progress to zero.
+
+    Jobs are mutable kernel entities, so ``eq=False`` keeps equality and
+    hashing by identity (``object.__eq__``/``object.__hash__``): two jobs
+    with the same task and jid are distinct.
     """
 
     task: TaskSpec
@@ -67,9 +71,12 @@ class Job:
     #: ``_SERIALS``); never reused, unlike ``id()``.
     serial: int = field(default_factory=lambda: next(_SERIALS), repr=False)
 
-    @property
-    def name(self) -> str:
-        return f"{self.task.name}#{self.jid}"
+    #: ``"<task>#<jid>"``, derived once from the immutable task and jid
+    #: (never serialized: a checkpoint-restored job derives the same name).
+    name: str = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.name = f"{self.task.name}#{self.jid}"
 
     @property
     def critical_time_abs(self) -> int:
@@ -166,13 +173,6 @@ class Job:
             f"Job({self.name}, {self.state.value}, seg={self.segment_index}"
             f"+{self.segment_progress}, rel={self.release_time})"
         )
-
-    # Identity semantics: jobs are mutable kernel entities.
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
 
 
 def job_body_valid_for_lockfree(task: TaskSpec) -> bool:

@@ -114,3 +114,29 @@ def test_cache_invalidate_forces_full_rebuild():
     assert cache.reusable_prefix(0, keys) == 0
     assert build_singleton_schedule(entries, now=0, cache=cache) == \
         build_singleton_schedule(entries, now=0)
+
+
+def test_pud_ties_between_same_named_jobs_break_like_the_reference(
+        monkeypatch):
+    """Task names are not checked for uniqueness.  When two jobs tie on
+    (PUD, critical time, name), the fast sort keeps their input order,
+    as the reference's stable sort does, and never compares jobs."""
+    from repro.core.rua_lockfree import LockFreeRUA
+
+    def job(compute, height):
+        task = TaskSpec(name="T", arrival=UAMSpec(1, 1, 1000),
+                        tuf=StepTUF(critical_time=1000, height=height),
+                        body=(Compute(compute),))
+        return Job(task=task, jid=0, release_time=0)
+
+    # Equal PUD (height / remaining), critical time and name; the
+    # later-examined one lands after the other in the ECF schedule.
+    jobs = [job(200, 2.0), job(100, 1.0), job(100, 1.0)]
+    orders = []
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+        else:
+            monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+        orders.append(LockFreeRUA().schedule(jobs, None, now=0))
+    assert orders[0] == orders[1] == jobs

@@ -8,7 +8,7 @@ of every deterministic field of a :class:`SimulationResult`.
 
 The whole gate runs in both scheduler modes (PR 5 fast path on and off,
 via ``REPRO_NO_FASTPATH``), because restore deliberately drops every
-memoized scheduling artifact: the restored run must replay the exact
+cached scheduling artifact: the restored run must replay the exact
 same decisions whether or not it gets to rebuild its caches.
 """
 

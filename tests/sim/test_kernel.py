@@ -300,3 +300,39 @@ class TestConfigValidation:
                            window_us=10_000)
         with pytest.raises(ValueError, match="negative release"):
             run_scenario([task], [[-3]])
+
+
+class TestNoReferenceCycles:
+    """A finished kernel is freed by reference counting alone.  Anything
+    that ties a kernel into a cycle (say, a per-instance table of bound
+    methods) keeps every finished kernel alive until the cyclic garbage
+    collector runs, which shows up as peak memory in long batches."""
+
+    @pytest.mark.parametrize("sync", ["lockfree", "lockbased"])
+    def test_kernel_dies_with_its_summary(self, sync, monkeypatch):
+        import gc
+        import weakref
+
+        from repro.api import quick_scenario, simulate
+        from repro.sim.kernel import Kernel
+
+        kernels = []
+        run = Kernel.run
+
+        def recording_run(kernel):
+            kernels.append(weakref.ref(kernel))
+            return run(kernel)
+
+        monkeypatch.setattr(Kernel, "run", recording_run)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            summary = simulate(quick_scenario(sync=sync, horizon_us=20_000,
+                                              seed=3))
+            assert summary.result.records
+            assert len(kernels) == 1
+            del summary
+            assert kernels[0]() is None
+        finally:
+            if was_enabled:
+                gc.enable()

@@ -11,6 +11,7 @@ import pytest
 
 from repro.arrivals import UAMSpec
 from repro.core.rua_lockbased import LockBasedRUA
+from repro.obs import Observer
 from repro.sim.kernel import Kernel, SimulationConfig, SyncMode
 from repro.sim.overheads import KernelCosts, ZeroCost
 from repro.sim.tracing import TraceKind
@@ -138,6 +139,52 @@ class TestRuntimeDeadlock:
         assert with_d["rich"].completion_time < 6_000 * US
         unblocks = kernel.tracer.of_kind(TraceKind.UNBLOCK)
         assert any(e.job.startswith("rich") for e in unblocks)
+
+
+class TestFastPathMatchesReferenceWithDeadlocks:
+    """The fast path's no-edge shortcut and its victim path against the
+    reference path, on three rounds of the deadlocking pair."""
+
+    def _fingerprint(self, monkeypatch, *, reference):
+        if reference:
+            monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+        else:
+            monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+        rich = _nested_task("rich", "A", "B", critical_us=50_000,
+                            height=10.0)
+        poor = _nested_task("poor", "B", "A", critical_us=10_000)
+        rounds_us = (0, 20_000, 40_000)
+        config = SimulationConfig(
+            tasks=[rich, poor],
+            arrival_traces=[[t * US for t in rounds_us],
+                            [(t + 200) * US for t in rounds_us]],
+            # Built after the environment is set: the policy reads
+            # REPRO_NO_FASTPATH once, at construction.
+            policy=LockBasedRUA(cost_model=ZeroCost()),
+            horizon=60 * MS,
+            sync=SyncMode.LOCK_BASED,
+            costs=KernelCosts.ideal(),
+            allow_nesting=True,
+            observer=Observer(),
+        )
+        result = Kernel(config).run()
+        return {
+            "records": tuple(result.records),
+            "scheduler_invocations": result.scheduler_invocations,
+            "victims": result.obs["counters"].get(
+                "sched.deadlock_victims", 0),
+            "chain_len": result.obs["histograms"].get("sched.chain_len"),
+        }
+
+    def test_fast_path_matches_reference(self, monkeypatch):
+        fast = self._fingerprint(monkeypatch, reference=False)
+        reference = self._fingerprint(monkeypatch, reference=True)
+        assert fast == reference
+        # Victims were chosen, and passes without edges (chain length 1)
+        # ran beside passes with real chains.
+        assert fast["victims"] >= 1
+        assert fast["chain_len"]["min"] == 1
+        assert fast["chain_len"]["max"] >= 2
 
 
 class TestBodyValidation:

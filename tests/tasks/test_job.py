@@ -41,6 +41,37 @@ class TestBasics:
         assert len({a, b}) == 2
 
 
+class TestIdentityContract:
+    """Jobs are mutable kernel entities: equality and hashing are by
+    identity, and ``name`` is derived from task and jid, never stored."""
+
+    def test_same_task_and_jid_are_unequal(self):
+        a, b = _job(), _job()
+        assert (a.task, a.jid, a.name) == (b.task, b.jid, b.name)
+        assert a != b
+        assert not a == b
+        assert a == a
+
+    def test_hash_is_identity(self):
+        a, b = _job(), _job()
+        assert hash(a) == object.__hash__(a)
+        assert hash(b) == object.__hash__(b)
+        assert {a: 1}.get(b) is None
+
+    def test_name_survives_a_checkpoint_round_trip(self):
+        from repro.sim.checkpoint import (
+            CHECKPOINT_VERSION, _decode_job, _encode_job)
+
+        job = _job()
+        job.segment_index = 1
+        doc = _encode_job(job, 0)
+        assert "name" not in doc
+        restored = _decode_job(doc, [job.task])
+        assert restored.name == job.name == "T#0"
+        assert restored is not job and restored != job
+        assert CHECKPOINT_VERSION == 1
+
+
 class TestProgress:
     def test_remaining_time_counts_all_segments(self):
         assert _job().remaining_time() == 180
