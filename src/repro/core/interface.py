@@ -115,10 +115,11 @@ class SchedulerPolicy(ABC):
     def reset_caches(self) -> None:
         """Drop every cached scheduling artifact.
 
-        Called on checkpoint restore: restored jobs are new objects with
-        fresh serials, so a subclass's prefix-replay
+        Called on checkpoint restore: restored jobs are new objects, so
+        a subclass's prefix-replay
         :class:`~repro.core.schedule_cache.ScheduleCache` must never
-        replay a pass from before the snapshot.  Caches are
+        replay a pass from before the snapshot (nor keep the pre-restore
+        jobs alive in its per-job table).  Caches are
         performance-only (the fast-path equivalence gate guarantees
         identical decisions without them), so dropping them cannot change
         any schedule.

@@ -57,11 +57,11 @@ class LockBasedRUA(SchedulerPolicy):
     def _compute(self, jobs: list[Job], locks: LockManager | None,
                  now: int) -> PassResult:
         fast = self.fast
-        if fast and (locks is None or not any(
+        if fast and (locks is None or not locks.has_owners() or not any(
                 blocking_owner(job, locks) is not None for job in jobs)):
-            # No dependency edge: no cycle to detect and every chain is
-            # the job itself (length 1), exactly what Steps 1 and 3
-            # would find.
+            # No dependency edge (with no lock held, none can exist): no
+            # cycle to detect and every chain is the job itself (length
+            # 1), exactly what Steps 1 and 3 would find.
             return singleton_pass(jobs, now, self._schedule_cache,
                                   self.obs,
                                   chain_len_max=1 if jobs else 0)

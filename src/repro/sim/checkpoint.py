@@ -16,8 +16,7 @@ fast path: ``restore(config, snapshot).run()`` finishes to a
 and without ``REPRO_NO_FASTPATH=1``.  Two deliberate properties make
 that hold:
 
-* restored jobs receive *fresh* ``Job.serial`` values (serials are
-  process-global and never recycled), and every scheduling-pass cache is
+* restored jobs are new objects, and every scheduling-pass cache is
   explicitly dropped via ``SchedulerPolicy.reset_caches()``, so a
   restored kernel can never replay a stale cached decision;
 * the observer is **not** checkpointed — observation is a side channel
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.faults.report import InvariantViolation
@@ -100,8 +99,8 @@ def _canonical(state: dict[str, Any]) -> str:
     return json.dumps(state, sort_keys=True, separators=(",", ":"))
 
 
-def _state_digest(state: dict[str, Any]) -> str:
-    return hashlib.sha256(_canonical(state).encode("utf-8")).hexdigest()
+def _digest(canonical_text: str) -> str:
+    return hashlib.sha256(canonical_text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -112,16 +111,26 @@ class KernelCheckpoint:
     of its canonical encoding, computed at snapshot time and re-verified
     on every decode, so a checkpoint that survives a round-trip is
     exactly the checkpoint that was written.
+
+    A checkpoint made by :meth:`wrap` keeps the canonical text it
+    hashed, and :meth:`to_json` writes that text instead of encoding
+    the state a second time; the state must therefore not be mutated
+    after wrapping.
     """
 
     version: int
     digest: str
     state: dict[str, Any]
+    #: The canonical encoding of ``state`` the digest was computed
+    #: over, or None for a decoded checkpoint.
+    state_text: str | None = field(default=None, repr=False,
+                                   compare=False)
 
     @classmethod
     def wrap(cls, state: dict[str, Any]) -> "KernelCheckpoint":
-        return cls(version=CHECKPOINT_VERSION,
-                   digest=_state_digest(state), state=state)
+        text = _canonical(state)
+        return cls(version=CHECKPOINT_VERSION, digest=_digest(text),
+                   state=state, state_text=text)
 
     @property
     def clock(self) -> int:
@@ -139,16 +148,23 @@ class KernelCheckpoint:
             raise CheckpointError(
                 f"checkpoint format v{self.version} is not the supported "
                 f"v{CHECKPOINT_VERSION}")
-        actual = _state_digest(self.state)
+        actual = _digest(_canonical(self.state))
         if actual != self.digest:
             raise CheckpointError(
                 f"checkpoint digest mismatch: stamped {self.digest[:12]}, "
                 f"state hashes to {actual[:12]}")
 
     def to_json(self) -> str:
-        return json.dumps({"version": self.version, "digest": self.digest,
-                           "state": self.state},
-                          sort_keys=True, separators=(",", ":"))
+        """The envelope's canonical encoding: the bytes of
+        ``_canonical({"version": ..., "digest": ..., "state": ...})``.
+        A wrapped checkpoint splices its kept state text in (sorted keys
+        put ``state`` between ``digest`` and ``version``; its digest is
+        hex and its version an int, which encode as themselves)."""
+        if self.state_text is None:
+            return _canonical({"version": self.version,
+                               "digest": self.digest, "state": self.state})
+        return (f'{{"digest":"{self.digest}","state":{self.state_text},'
+                f'"version":{self.version}}}')
 
     @classmethod
     def from_json(cls, text: str) -> "KernelCheckpoint":
@@ -244,10 +260,8 @@ def _encode_job(job: Job, task_index: int) -> dict[str, Any]:
 
 
 def _decode_job(doc: dict[str, Any], tasks) -> Job:
-    # ``serial`` is deliberately NOT restored: serials are process-global
-    # and never recycled, so a restored job's fresh serial can never
-    # collide with any decision a policy cached before the crash.
-    # ``name`` is derived from task and jid, so it comes back as it was.
+    # ``name`` and ``critical_time_abs`` are derived from the task, jid
+    # and release time, so they come back as they were.
     job = Job(task=tasks[doc["task_index"]], jid=doc["jid"],
               release_time=doc["release_time"])
     job.state = JobState(doc["state"])
@@ -585,7 +599,7 @@ def restore_kernel(config: "SimulationConfig",
         ]
 
     # A restored kernel must never replay a decision cached before the
-    # snapshot: serials changed and Job identities are new objects.
+    # snapshot: the restored jobs are new objects.
     config.policy.reset_caches()
     kernel._restored = True
     return kernel

@@ -101,6 +101,11 @@ class LockManager:
     # Introspection used by the scheduler
     # ------------------------------------------------------------------
 
+    def has_owners(self) -> bool:
+        """True while any object is locked (else no job can depend on
+        another)."""
+        return bool(self._owner)
+
     def owner_of(self, obj: ObjectId) -> Job | None:
         return self._owner.get(obj)
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.tasks.job import Job, JobState
-from repro.tasks.task import TaskSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.faults.report import DegradationReport
@@ -203,12 +202,3 @@ class SimulationResult:
             sub.records.append(record)
         return split
 
-
-def max_utility_denominator(tasks: list[TaskSpec],
-                            releases_per_task: dict[str, int]) -> float:
-    """Maximum possible utility for a set of releases (AUR denominator
-    computed from the task specs rather than job records)."""
-    return sum(
-        tasks_by_name.tuf.max_utility * releases_per_task.get(tasks_by_name.name, 0)
-        for tasks_by_name in tasks
-    )

@@ -8,17 +8,11 @@ sequence, and either completing before its critical time (accruing
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.tasks.segments import Compute, ObjectAccess, Segment
+from repro.tasks.segments import ObjectAccess, Segment
 from repro.tasks.task import TaskSpec
-
-#: Process-wide monotonic job serial numbers.  Scheduling-pass caches key
-#: job state by serial rather than ``id()`` — ids are recycled by the
-#: allocator once a completed job is garbage collected, serials never are.
-_SERIALS = itertools.count(1)
 
 
 class JobState(Enum):
@@ -67,21 +61,17 @@ class Job:
     # Monotonic token invalidating stale milestone events after preemption.
     dispatch_token: int = field(default=0, repr=False)
 
-    #: Process-unique identity for scheduling-state signatures (see
-    #: ``_SERIALS``); never reused, unlike ``id()``.
-    serial: int = field(default_factory=lambda: next(_SERIALS), repr=False)
-
     #: ``"<task>#<jid>"``, derived once from the immutable task and jid
     #: (never serialized: a checkpoint-restored job derives the same name).
     name: str = field(init=False, repr=False)
+    #: Absolute critical time: release + ``C_i``.  Derived once, like
+    #: ``name``, from the immutable task and release time (never
+    #: serialized).
+    critical_time_abs: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.name = f"{self.task.name}#{self.jid}"
-
-    @property
-    def critical_time_abs(self) -> int:
-        """Absolute critical time: release + ``C_i``."""
-        return self.release_time + self.task.critical_time
+        self.critical_time_abs = self.release_time + self.task.critical_time
 
     @property
     def is_live(self) -> bool:
@@ -174,9 +164,3 @@ class Job:
             f"+{self.segment_progress}, rel={self.release_time})"
         )
 
-
-def job_body_valid_for_lockfree(task: TaskSpec) -> bool:
-    """Lock-free RUA excludes physical resources; every accessed object is
-    a logical data object, which the flat segment model guarantees.  Kept
-    as an explicit hook should physical-resource segments be added."""
-    return all(isinstance(s, (Compute, ObjectAccess)) for s in task.body)

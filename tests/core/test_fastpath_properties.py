@@ -2,47 +2,84 @@
 
 1. ``build_singleton_schedule`` is decision-identical to the reference
    ``build_rua_schedule`` whenever every dependency chain is a singleton
-   (always true under lock-free sharing).
-2. The :class:`ScheduleCache` never changes the result: however the
+   (always true under lock-free sharing) — including equal critical
+   times, where examination order alone settles the ECF order, and
+   candidates that all land at the end of the ECF array.
+2. ``singleton_pass`` (PUDs over the cached per-job fields, the sort
+   and the builder) orders exactly like the reference pass, including
+   zero remaining demand (infinite PUD).
+3. The :class:`ScheduleCache` never changes the result: however the
    candidate list mutates between passes — and whatever stale state the
    cache holds — the schedule (and therefore the chosen job at its
    head) equals a fresh cache-free construction.
+4. Lock-based RUA still builds real dependency chains when a lock is
+   held and a job waits for it, on the fast and the reference path.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arrivals import UAMSpec
+from repro.core.pud import chain_pud
+from repro.core.rua_lockbased import LockBasedRUA
 from repro.core.schedule_builder import build_rua_schedule
-from repro.core.schedule_cache import ScheduleCache, build_singleton_schedule
-from repro.tasks import Compute, Job, TaskSpec
-from repro.tuf import StepTUF
+from repro.core.schedule_cache import (
+    ScheduleCache,
+    build_singleton_schedule,
+    singleton_pass,
+)
+from repro.sim.locks import LockManager
+from repro.tasks import Compute, Job, ObjectAccess, TaskSpec
+from repro.tuf import LinearDecreasingTUF, StepTUF
 
 
-def _make_jobs(spec: list[tuple[int, int]]) -> list[Job]:
-    """spec: (compute, critical) per job."""
+def _make_jobs(spec: list[tuple[int, int]], release: int = 0,
+               first: int = 0) -> list[Job]:
+    """spec: (compute, critical) per job; a compute of 0 gives a job
+    with no remaining demand."""
     jobs = []
-    for index, (compute, critical) in enumerate(spec):
+    for index, (compute, critical) in enumerate(spec, start=first):
         task = TaskSpec(
             name=f"J{index}",
             arrival=UAMSpec(1, 1, critical),
             tuf=StepTUF(critical_time=critical),
             body=(Compute(compute),),
         )
-        jobs.append(Job(task=task, jid=0, release_time=0))
+        jobs.append(Job(task=task, jid=0, release_time=release))
     return jobs
 
 
-def _entries(jobs: list[Job]) -> list[tuple[Job, int, int]]:
-    return [(job, job.remaining_time(), job.critical_time_abs)
-            for job in jobs]
+def _entries(jobs: list[Job]) -> list[tuple]:
+    """Builder entries in the given examination order (the sort-key
+    fields the builder does not read are placeholders)."""
+    return [(0.0, job.critical_time_abs, job.name, index,
+             job.remaining_time(), job)
+            for index, job in enumerate(jobs)]
+
+
+def _reference_pass(jobs: list[Job], now: int) -> list[Job]:
+    """The lock-free reference pass: chain PUDs, a stable sort, the
+    copying Section 3.4 builder."""
+    chains = {job: [job] for job in jobs}
+    puds = {job: chain_pud(chains[job], now) for job in jobs}
+    order = sorted(jobs, key=lambda job: (-puds[job], job.critical_time_abs,
+                                          job.name))
+    return build_rua_schedule(order, chains, now)
 
 
 job_specs = st.lists(
     st.tuples(st.integers(min_value=1, max_value=500),
               st.integers(min_value=1, max_value=2000)),
     min_size=1, max_size=10,
+)
+
+#: Few distinct critical times and some zero demands: ties everywhere.
+tied_specs = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=300),
+              st.sampled_from([200, 400, 600])),
+    min_size=1, max_size=12,
 )
 
 
@@ -55,6 +92,40 @@ def test_singleton_builder_matches_reference(spec, order_seed):
                                    now=0)
     fast = build_singleton_schedule(_entries(jobs), now=0)
     assert fast == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=tied_specs, order_seed=st.integers(0, 2**32 - 1),
+       now=st.integers(0, 100))
+def test_equal_critical_times_keep_examination_order(spec, order_seed, now):
+    """With equal critical times the ECF position of a job is decided
+    by when it was examined: a later one lands after the earlier ones."""
+    jobs = _make_jobs(spec)
+    random.Random(order_seed).shuffle(jobs)
+    reference = build_rua_schedule(jobs, {job: [job] for job in jobs},
+                                   now=now)
+    assert build_singleton_schedule(_entries(jobs), now=now) == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=tied_specs, now=st.integers(0, 100))
+def test_end_of_array_path_matches_reference(spec, now):
+    """Examined in ECF order, every candidate lands at the end of the
+    array: only the short path runs."""
+    jobs = sorted(_make_jobs(spec), key=lambda job: job.critical_time_abs)
+    reference = build_rua_schedule(jobs, {job: [job] for job in jobs},
+                                   now=now)
+    assert build_singleton_schedule(_entries(jobs), now=now) == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=tied_specs, now=st.integers(0, 100))
+def test_singleton_pass_matches_reference_pass(spec, now):
+    """Zero demand gives an infinite PUD: such jobs are examined first,
+    and the order still equals the reference pass."""
+    jobs = _make_jobs(spec)
+    fast = singleton_pass(jobs, now, ScheduleCache()).order
+    assert fast == _reference_pass(jobs, now)
 
 
 @settings(max_examples=200, deadline=None)
@@ -85,9 +156,70 @@ def test_cache_never_changes_the_schedule(spec, mutation_seed):
             now += rng.randrange(0, 300)
         elif mutation == 3 and entries:
             index = rng.randrange(len(entries))
-            job, remaining, ct = entries[index]
-            entries[index] = (job, max(1, remaining - rng.randrange(0, 50)),
-                              ct)
+            key, ct, name, position, remaining, job = entries[index]
+            entries[index] = (key, ct, name, position,
+                              max(1, remaining - rng.randrange(0, 50)), job)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=job_specs, mutation_seed=st.integers(0, 2**32 - 1))
+def test_per_job_cache_tracks_a_changing_live_set(spec, mutation_seed):
+    """One cache across passes while the clock advances, jobs arrive,
+    leave and make progress: every pass equals the reference pass and a
+    pass over a fresh cache."""
+    rng = random.Random(mutation_seed)
+    jobs = _make_jobs(spec)
+    cache = ScheduleCache()
+    now = 0
+    arrivals = len(jobs)
+    for _ in range(12):
+        order = singleton_pass(jobs, now, cache).order
+        assert order == _reference_pass(jobs, now)
+        assert order == singleton_pass(jobs, now, ScheduleCache()).order
+        mutation = rng.randrange(5)
+        if mutation == 0:
+            now += rng.randrange(0, 300)
+        elif mutation == 1:
+            arrived = _make_jobs([(rng.randrange(1, 500),
+                                   rng.randrange(1, 2000))],
+                                 release=now, first=arrivals)
+            arrivals += 1
+            jobs.insert(rng.randrange(len(jobs) + 1), arrived[0])
+        elif mutation == 2 and jobs:
+            del jobs[rng.randrange(len(jobs))]
+        elif mutation == 3 and order:
+            # The head runs for a while: progress and the clock move.
+            ran = min(order[0].segment_remaining(), rng.randrange(1, 200))
+            order[0].advance(ran)
+            now += ran
+        # mutation 4: a same-instant rerun, where prefix replay applies.
+
+
+def test_per_job_cache_prunes_departed_jobs():
+    jobs = _make_jobs([(10, 1000)] * 40)
+    cache = ScheduleCache()
+    singleton_pass(jobs, 0, cache)
+    survivors = jobs[:4]
+    assert singleton_pass(survivors, 0, cache).order == \
+        _reference_pass(survivors, 0)
+    assert set(cache.fixed_fields(survivors)) <= set(survivors)
+
+
+def test_linear_tuf_pud_changes_with_the_clock():
+    """Non-step TUFs: the cached bound ``utility`` is re-evaluated at
+    each pass's clock, so orders follow the reference as time moves."""
+    jobs = []
+    for name, critical, initial in (("A", 900, 1.0), ("B", 1200, 3.0),
+                                    ("C", 700, 2.0)):
+        task = TaskSpec(name=name, arrival=UAMSpec(1, 1, critical),
+                        tuf=LinearDecreasingTUF(critical_time=critical,
+                                                initial=initial),
+                        body=(Compute(150),))
+        jobs.append(Job(task=task, jid=0, release_time=0))
+    cache = ScheduleCache()
+    for now in (0, 200, 400, 600, 800):
+        assert singleton_pass(jobs, now, cache).order == \
+            _reference_pass(jobs, now)
 
 
 def test_cache_full_prefix_replay_is_exact():
@@ -97,9 +229,7 @@ def test_cache_full_prefix_replay_is_exact():
     entries = _entries(jobs)
     cache = ScheduleCache()
     first = build_singleton_schedule(entries, now=0, cache=cache)
-    assert cache.reusable_prefix(
-        0, [(job.serial, remaining, ct)
-            for job, remaining, ct in entries]) == len(entries)
+    assert cache.reusable_prefix(0, list(entries)) == len(entries)
     second = build_singleton_schedule(entries, now=0, cache=cache)
     assert second == first == build_singleton_schedule(entries, now=0)
 
@@ -110,8 +240,7 @@ def test_cache_invalidate_forces_full_rebuild():
     cache = ScheduleCache()
     build_singleton_schedule(entries, now=0, cache=cache)
     cache.invalidate()
-    keys = [(job.serial, remaining, ct) for job, remaining, ct in entries]
-    assert cache.reusable_prefix(0, keys) == 0
+    assert cache.reusable_prefix(0, entries) == 0
     assert build_singleton_schedule(entries, now=0, cache=cache) == \
         build_singleton_schedule(entries, now=0)
 
@@ -140,3 +269,36 @@ def test_pud_ties_between_same_named_jobs_break_like_the_reference(
             monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
         orders.append(LockFreeRUA().schedule(jobs, None, now=0))
     assert orders[0] == orders[1] == jobs
+
+
+@pytest.mark.parametrize("reference", [False, True])
+def test_held_lock_with_a_waiter_still_builds_chains(monkeypatch, reference):
+    """The no-owner skip must not hide a real dependency: with a lock
+    held and a job waiting for it, the pass builds the two-job chain and
+    the holder inherits the waiter's earlier critical time."""
+    if reference:
+        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+    else:
+        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+
+    def job(name, critical):
+        task = TaskSpec(name=name, arrival=UAMSpec(1, 1, 10_000),
+                        tuf=StepTUF(critical_time=critical),
+                        body=(ObjectAccess(obj="q", duration=300),
+                              Compute(100)))
+        return Job(task=task, jid=0, release_time=0)
+
+    holder, waiter, other = job("H", 9_000), job("W", 1_000), job("O", 5_000)
+    locks = LockManager()
+    assert locks.try_acquire(holder, "q")
+    holder.holds_lock = "q"
+    holder.held_locks.add("q")
+    assert locks.has_owners()
+    policy = LockBasedRUA()
+    result = policy._compute([waiter, other, holder], locks, now=0)
+    assert result.chain_len_max == 2
+    assert result.order.index(holder) < result.order.index(waiter)
+    locks.release(holder, "q")
+    assert not locks.has_owners()
+    assert policy._compute([waiter, other, holder], locks,
+                           now=0).chain_len_max == 1
