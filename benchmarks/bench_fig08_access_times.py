@@ -11,7 +11,6 @@ from repro.units import MS
 
 from conftest import (
     campaign_config,
-    record_bench,
     run_once_benchmark,
     save_figure,
 )
@@ -25,9 +24,6 @@ def test_fig8_access_times(benchmark):
                      campaign=campaign_config("fig08_access_times")),
     )
     save_figure("fig08_access_times", result.render())
-    record_bench(benchmark, "fig08_access_times",
-                 {s.label: round(s.means()[-1], 6)
-                  for s in result.series})
     r_series, s_series = result.series
     # Shape assertions: r >> s everywhere; s flat within 2x; r at 10
     # objects at least as large as at 1.

@@ -9,7 +9,6 @@ from repro.experiments.figures import fig9
 
 from conftest import (
     campaign_config,
-    record_bench,
     run_once_benchmark,
     save_figure,
 )
@@ -23,9 +22,6 @@ def test_fig9_cml(benchmark):
                      campaign=campaign_config("fig09_cml")),
     )
     save_figure("fig09_cml", result.render())
-    record_bench(benchmark, "fig09_cml",
-                 {s.label: round(s.means()[-1], 6)
-                  for s in result.series})
     by_label = {s.label: s for s in result.series}
     ideal = by_label["CML ideal"].means()
     lockfree = by_label["CML lockfree"].means()

@@ -10,7 +10,6 @@ from repro.units import MS
 
 from conftest import (
     campaign_config,
-    record_bench,
     run_once_benchmark,
     save_figure,
 )
@@ -24,9 +23,6 @@ def test_fig10_underload_step(benchmark):
                       campaign=campaign_config("fig10_underload_step")),
     )
     save_figure("fig10_underload_step", result.render())
-    record_bench(benchmark, "fig10_underload_step",
-                 {s.label: round(s.means()[-1], 6)
-                  for s in result.series})
     by_label = {s.label: s for s in result.series}
     assert all(v > 0.95 for v in by_label["AUR lock-free"].means())
     assert all(v > 0.95 for v in by_label["CMR lock-free"].means())

@@ -11,7 +11,6 @@ from repro.units import MS
 
 from conftest import (
     campaign_config,
-    record_bench,
     run_once_benchmark,
     save_figure,
 )
@@ -25,9 +24,6 @@ def test_fig11_underload_hetero(benchmark):
                       campaign=campaign_config("fig11_underload_hetero")),
     )
     save_figure("fig11_underload_hetero", result.render())
-    record_bench(benchmark, "fig11_underload_hetero",
-                 {s.label: round(s.means()[-1], 6)
-                  for s in result.series})
     by_label = {s.label: s for s in result.series}
     assert all(v > 0.95 for v in by_label["CMR lock-free"].means())
     assert all(v > 0.85 for v in by_label["AUR lock-free"].means())

@@ -10,7 +10,6 @@ from repro.units import MS
 
 from conftest import (
     campaign_config,
-    record_bench,
     run_once_benchmark,
     save_figure,
 )
@@ -24,9 +23,6 @@ def test_fig14_readers(benchmark):
                       campaign=campaign_config("fig14_readers")),
     )
     save_figure("fig14_readers", result.render())
-    record_bench(benchmark, "fig14_readers",
-                 {s.label: round(s.means()[-1], 6)
-                  for s in result.series})
     by_label = {s.label: s for s in result.series}
     lf_aur = by_label["AUR lock-free"].means()
     lb_aur = by_label["AUR lock-based"].means()

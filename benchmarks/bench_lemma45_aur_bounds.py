@@ -10,7 +10,6 @@ from repro.units import MS
 
 from conftest import (
     campaign_config,
-    record_bench,
     run_once_benchmark,
     save_figure,
 )
@@ -23,9 +22,6 @@ def test_lemma45_aur_bounds(benchmark):
                       campaign=campaign_config("lemma45_aur_bounds")),
     )
     save_figure("lemma45_aur_bounds", result.render())
-    record_bench(benchmark, "lemma45_aur_bounds",
-                 {s.label: round(s.means()[-1], 6)
-                  for s in result.series})
     # Series arrive in (lower, measured, upper) triples per lemma.
     for base in (0, 3):
         lower = result.series[base].estimates[0].mean

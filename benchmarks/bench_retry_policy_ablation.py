@@ -15,7 +15,6 @@ from repro.units import MS
 
 from conftest import (
     campaign_config,
-    record_bench,
     run_once_benchmark,
     save_figure,
 )
@@ -47,12 +46,6 @@ def test_retry_policy_ablation(benchmark):
         ("ON_PREEMPTION mean AUR", f"{preempt_aur:.3f}"),
     ])
     save_figure("ablation_retry_policy", text)
-    record_bench(benchmark, "ablation_retry_policy", {
-        "conflict_retries": round(conflict_retries, 2),
-        "conflict_aur": round(conflict_aur, 6),
-        "preemption_retries": round(preempt_retries, 2),
-        "preemption_aur": round(preempt_aur, 6),
-    })
     assert preempt_retries >= conflict_retries
     assert preempt_retries > 0
     assert preempt_aur <= conflict_aur + 0.02

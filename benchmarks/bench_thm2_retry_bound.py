@@ -13,7 +13,6 @@ from repro.units import MS
 
 from conftest import (
     campaign_config,
-    record_bench,
     run_once_benchmark,
     save_figure,
 )
@@ -27,9 +26,6 @@ def test_thm2_retry_bound(benchmark):
                                 campaign=campaign_config("thm2_retry_bound")),
     )
     save_figure("thm2_retry_bound", result.render())
-    record_bench(benchmark, "thm2_retry_bound",
-                 {s.label: round(s.means()[-1], 6)
-                  for s in result.series})
     measured, bound = result.series
     for m, b in zip(measured.estimates, bound.estimates):
         assert m.mean <= b.mean, "Theorem 2 bound violated"

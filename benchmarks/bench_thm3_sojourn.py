@@ -22,7 +22,6 @@ from repro.units import MS
 
 from conftest import (
     campaign_config,
-    record_bench,
     run_once_benchmark,
     save_figure,
 )
@@ -72,13 +71,6 @@ def test_thm3_sojourn_crossover(benchmark):
         ("simulated mean sojourn lock-free [ns]", f"{lf_sojourn:.0f}"),
     ])
     save_figure("thm3_sojourn", text)
-    record_bench(benchmark, "thm3_sojourn", {
-        "r_ns": round(r, 1),
-        "s_ns": round(s, 1),
-        "ratio": round(comparison.ratio, 6),
-        "sojourn_lockbased_ns": round(lb_sojourn, 1),
-        "sojourn_lockfree_ns": round(lf_sojourn, 1),
-    })
     # Measured s/r is far below 2/3 (s << r on this workload), so the
     # theorem predicts lock-free wins — and the simulated sojourns agree.
     assert comparison.ratio < 2 / 3

@@ -59,31 +59,3 @@ def run_once_benchmark(benchmark, fn):
     meaningful and would multiply runtime)."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
-
-#: The committed perf-trajectory store (repro.obs.regress).
-TRAJECTORY_DIR = pathlib.Path(__file__).parent / "trajectories"
-
-
-def record_bench(benchmark, name: str, metrics: dict) -> None:
-    """Append this run to its committed summary trajectory under
-    ``benchmarks/trajectories/`` (override with
-    ``REPRO_TRAJECTORY_DIR``), which `repro bench check` gates.
-
-    Call after ``run_once_benchmark`` so the benchmark's measured wall
-    time is available.
-    """
-    from repro.obs.regress import append_trajectory
-
-    wall = None
-    stats = getattr(benchmark, "stats", None)
-    if stats is not None:
-        try:
-            wall = float(stats.stats.mean)
-        except AttributeError:  # pragma: no cover - stats shape change
-            wall = None
-    trajectory_dir = pathlib.Path(
-        os.environ.get("REPRO_TRAJECTORY_DIR") or TRAJECTORY_DIR)
-    trajectory_dir.mkdir(parents=True, exist_ok=True)
-    trajectory = append_trajectory(name, metrics, wall_s=wall,
-                                   directory=trajectory_dir)
-    print(f"trajectory entry appended to {trajectory}")

@@ -14,8 +14,8 @@ Commands:
   trace-event JSON for ``chrome://tracing``/Perfetto, JSONL event
   streams and a perf-summary table;
 * ``bench`` — the perf-regression loop over the committed
-  ``benchmarks/trajectories/`` store: ``record`` appends an
-  instrumented run's summary, ``check`` gates (exit 1 on a detected
+  ``benchmarks/trajectories/`` store: ``record`` appends saved
+  ``perfbench/run.py`` results, ``check`` gates (exit 1 on a detected
   regression), ``report`` prints the trajectories;
 * ``diff`` — trace-diff diagnosis: align two exported traces (JSONL or
   Chrome JSON), report the first divergent scheduling decision and the
@@ -293,36 +293,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="perf-regression loop over the committed "
-             "benchmarks/trajectories/ store (record / check / report)")
+        help="perf-regression loop over the committed perfbench results "
+             "in benchmarks/trajectories/ (record / check / report)")
     bench.add_argument("action", choices=["record", "check", "report"])
+    bench.add_argument("runs", nargs="*", metavar="RUN",
+                       help="record: saved perfbench/run.py stdout of one "
+                            "--trace 0 run and, optionally, one --trace 1 "
+                            "run of the same workload and seed")
     bench.add_argument("--dir", default=None, metavar="DIR",
                        help="trajectory store (default "
-                            "benchmarks/trajectories, or "
-                            "$REPRO_TRAJECTORY_DIR)")
-    bench.add_argument("--bench", default="kernel", metavar="NAME",
-                       help="trajectory name for 'record' "
-                            "(default: kernel)")
-    bench.add_argument("--z-threshold", type=float, default=None,
-                       help="robust z-score gate threshold "
-                            "(default 4.0)")
-    bench.add_argument("--rel-threshold", type=float, default=None,
-                       help="relative-change gate threshold "
-                            "(default 0.25)")
+                            "benchmarks/trajectories)")
+    bench.add_argument("--spec", default=None, metavar="PATH",
+                       help="record: benchmark spec the metric "
+                            "directions and bounds are copied from "
+                            "(default BENCHMARK.json)")
     bench.add_argument("--report", default=None, metavar="PATH",
                        help="also write the ASCII gate report to a file")
-    # 'record' runs one instrumented profile; these mirror `profile`.
-    bench.add_argument("--workload",
-                       choices=["step", "hetero", "interference"],
-                       default="step")
-    bench.add_argument("--sync",
-                       choices=["lockfree", "lockbased", "ideal", "edf"],
-                       default="lockfree")
-    bench.add_argument("--tasks", type=int, default=10)
-    bench.add_argument("--objects", type=int, default=10)
-    bench.add_argument("--load", type=float, default=0.6)
-    bench.add_argument("--horizon-ms", type=int, default=100)
-    bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--json", default=None, metavar="PATH",
                        help="write a machine-readable summary")
 
@@ -625,43 +611,35 @@ def _cmd_profile(args) -> int:
 
 def _cmd_bench(args) -> int:
     from repro.obs.regress import (
-        REL_THRESHOLD,
-        Z_THRESHOLD,
-        append_trajectory,
+        DEFAULT_SPEC,
+        RecordError,
         check_trajectories,
         list_trajectories,
-        load_trajectory,
+        record_runs,
         trajectory_dir,
     )
 
     directory = trajectory_dir(args.dir)
     if args.action == "record":
-        from repro.obs.profile import run_profile
-
-        prof = run_profile(
-            workload=args.workload, sync=args.sync, n_tasks=args.tasks,
-            n_objects=args.objects, load=args.load,
-            horizon_us=args.horizon_ms * 1000, seed=args.seed,
-        )
-        directory.mkdir(parents=True, exist_ok=True)
-        path = append_trajectory(args.bench, prof.bench_metrics(),
-                                 wall_s=prof.wall_s, directory=directory)
-        entries = len(load_trajectory(args.bench, directory)["entries"])
-        print(f"trajectory entry appended to {path} "
+        try:
+            path, document = record_runs(
+                args.runs, args.spec or DEFAULT_SPEC, directory)
+        except RecordError as exc:
+            print(f"bench record refused: {exc}", file=sys.stderr)
+            return 2
+        entries = len(document["entries"])
+        seq = document["entries"][-1]["seq"]
+        print(f"trajectory entry seq {seq} appended to {path} "
               f"({entries} entries)")
         _write_json(args, {"command": "bench", "action": "record",
-                           "bench": args.bench, "path": str(path),
-                           "entries": entries,
-                           "wall_s": round(prof.wall_s, 6)},
-                    obs=prof.observer.summary())
+                           "bench": path.stem, "path": str(path),
+                           "entries": entries, "seq": seq})
         return 0
+    if args.runs or args.spec:
+        raise UsageError(f"bench {args.action} takes no RUN or --spec; "
+                         f"they are for 'record'")
 
-    z_threshold = args.z_threshold if args.z_threshold is not None \
-        else Z_THRESHOLD
-    rel_threshold = args.rel_threshold if args.rel_threshold is not None \
-        else REL_THRESHOLD
-    report = check_trajectories(directory, z_threshold=z_threshold,
-                                rel_threshold=rel_threshold)
+    report = check_trajectories(directory)
     text = report.render()
     print(text)
     if args.report:

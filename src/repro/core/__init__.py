@@ -25,7 +25,6 @@ from repro.core.pud import chain_pud, completion_estimates
 from repro.core.feasibility import is_feasible
 from repro.core.schedule_builder import (
     build_rua_schedule,
-    build_rua_schedule_inplace,
     insert_chain,
 )
 from repro.core.schedule_cache import ScheduleCache, build_singleton_schedule
@@ -41,7 +40,6 @@ __all__ = [
     "fastpath_enabled",
     "ScheduleCache",
     "build_singleton_schedule",
-    "build_rua_schedule_inplace",
     "DeadlockDetected",
     "needed_object",
     "blocking_owner",

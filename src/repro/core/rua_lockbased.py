@@ -17,11 +17,11 @@ matching simulated cost is charged through
 On the fast path, a pass first scans for dependency edges.  With none
 (the common case: no job waits for a held object) there can be no cycle
 and every chain is a singleton, so Steps 1 and 3 are skipped outright.
-Step 5 then runs through one of three result-identical constructions:
+Step 5 then runs through one of two result-identical constructions:
 when every chain is a singleton the copy-free specialization with
-cross-pass repair (:mod:`repro.core.schedule_cache`); with real chains
-the undo-log in-place builder; under ``REPRO_NO_FASTPATH`` the copying
-Section 3.4 reference, with no edge scan.
+cross-pass repair (:mod:`repro.core.schedule_cache`); otherwise the
+copying Section 3.4 reference.  Under ``REPRO_NO_FASTPATH`` every pass
+takes the reference, with no edge scan.
 """
 
 from __future__ import annotations
@@ -30,10 +30,7 @@ from repro.core.deadlock import detect_deadlock, pick_deadlock_victim
 from repro.core.dependency import all_dependency_chains, blocking_owner
 from repro.core.interface import PassResult, SchedulerPolicy
 from repro.core.pud import chain_pud
-from repro.core.schedule_builder import (
-    build_rua_schedule,
-    build_rua_schedule_inplace,
-)
+from repro.core.schedule_builder import build_rua_schedule
 from repro.core.schedule_cache import ScheduleCache, singleton_pass
 from repro.sim.locks import LockManager
 from repro.sim.overheads import CostModel, default_lockbased_rua_cost
@@ -111,10 +108,7 @@ class LockBasedRUA(SchedulerPolicy):
             key=lambda job: (-puds[job], job.critical_time_abs, job.name),
         )
         # Step 5: tentative-schedule construction.
-        if fast:
-            order = build_rua_schedule_inplace(pud_order, chains, now)
-        else:
-            order = build_rua_schedule(pud_order, chains, now)
+        order = build_rua_schedule(pud_order, chains, now)
         return PassResult(order=order,
                           rejections=len(candidates) - len(order),
                           victims=len(victims),

@@ -20,13 +20,8 @@ from repro.core.feasibility import is_feasible
 from repro.tasks.job import Job
 
 
-#: Sentinel marking "no previous effective ct" in undo-log records.
-_MISSING = object()
-
-
 def _insert_sorted(schedule: list[Job], effective_ct: dict[Job, int],
-                   job: Job, before: Job | None = None,
-                   log: list | None = None) -> None:
+                   job: Job, before: Job | None = None) -> None:
     """Insert ``job`` at its ECF position; if ``before`` is given, never
     later than ``before`` (dependency order wins ties and conflicts)."""
     ct = effective_ct[job]
@@ -37,43 +32,15 @@ def _insert_sorted(schedule: list[Job], effective_ct: dict[Job, int],
     while position < limit and effective_ct[schedule[position]] <= ct:
         position += 1
     schedule.insert(position, job)
-    if log is not None:
-        log.append(("ins", position, None))
-
-
-def _set_ct(effective_ct: dict[Job, int], job: Job, value: int,
-            log: list | None) -> None:
-    if log is not None:
-        log.append(("ct", job, effective_ct.get(job, _MISSING)))
-    effective_ct[job] = value
-
-
-def rollback(schedule: list[Job], effective_ct: dict[Job, int],
-             log: list) -> None:
-    """Undo one ``insert_chain`` recorded in ``log``, restoring
-    ``schedule`` and ``effective_ct`` exactly (ops reversed in reverse
-    order, so list positions stay valid)."""
-    for kind, a, b in reversed(log):
-        if kind == "ins":
-            del schedule[a]
-        elif kind == "rem":
-            schedule.insert(a, b)
-        else:  # "ct"
-            if b is _MISSING:
-                del effective_ct[a]
-            else:
-                effective_ct[a] = b
 
 
 def insert_chain(schedule: list[Job], effective_ct: dict[Job, int],
-                 chain: list[Job], log: list | None = None) -> None:
+                 chain: list[Job]) -> None:
     """Insert a job and its dependents (``chain``, head first) into the
     tentative schedule, tail-to-head, per Section 3.4.1.
 
-    Mutates ``schedule`` and ``effective_ct`` in place — callers either
-    pass copies and commit them only if the result is feasible (the
-    reference), or pass ``log`` to record an undo trail and roll the
-    insertion back with :func:`rollback` (the in-place fast path).
+    Mutates ``schedule`` and ``effective_ct`` in place; callers pass
+    copies and commit them only if the result is feasible.
     """
     successor: Job | None = None
     for job in reversed(chain):
@@ -84,8 +51,8 @@ def insert_chain(schedule: list[Job], effective_ct: dict[Job, int],
             # nothing to do (its position already respects every
             # constraint recorded so far).
             if job not in schedule:
-                _set_ct(effective_ct, job, own_ct, log)
-                _insert_sorted(schedule, effective_ct, job, log=log)
+                effective_ct[job] = own_ct
+                _insert_sorted(schedule, effective_ct, job)
         else:
             successor_ct = effective_ct[successor]
             if job in schedule:
@@ -93,29 +60,23 @@ def insert_chain(schedule: list[Job], effective_ct: dict[Job, int],
                 # other chain).  Ensure it still precedes `successor`.
                 if own_ct > successor_ct:
                     # Case 2: remove, inherit, reinsert before successor.
-                    index = schedule.index(job)
-                    del schedule[index]
-                    if log is not None:
-                        log.append(("rem", index, job))
-                    _set_ct(effective_ct, job, successor_ct, log)
+                    schedule.remove(job)
+                    effective_ct[job] = successor_ct
                     _insert_sorted(schedule, effective_ct, job,
-                                   before=successor, log=log)
+                                   before=successor)
                 elif schedule.index(job) > schedule.index(successor):
                     # Equal critical times can leave the dependent after
                     # its successor; reposition without inheritance.
-                    index = schedule.index(job)
-                    del schedule[index]
-                    if log is not None:
-                        log.append(("rem", index, job))
+                    schedule.remove(job)
                     _insert_sorted(schedule, effective_ct, job,
-                                   before=successor, log=log)
+                                   before=successor)
             else:
                 # Figure 4: fresh insertion of a dependent.
                 if own_ct > successor_ct:
                     own_ct = successor_ct  # critical-time inheritance
-                _set_ct(effective_ct, job, own_ct, log)
+                effective_ct[job] = own_ct
                 _insert_sorted(schedule, effective_ct, job,
-                               before=successor, log=log)
+                               before=successor)
         successor = job
 
 
@@ -140,29 +101,4 @@ def build_rua_schedule(pud_order: list[Job],
         if is_feasible(tentative, tentative_ct, now):
             schedule = tentative
             effective_ct = tentative_ct
-    return schedule
-
-
-def build_rua_schedule_inplace(pud_order: list[Job],
-                               chains: dict[Job, list[Job]],
-                               now: int) -> list[Job]:
-    """Allocation-free variant of :func:`build_rua_schedule`.
-
-    Instead of copying the schedule and effective-ct map per candidate,
-    each chain is inserted directly and rolled back via an undo log when
-    the result is infeasible.  Decision-for-decision identical to the
-    reference (same ``insert_chain``, same feasibility test on the same
-    state); only the copies disappear.
-    """
-    schedule: list[Job] = []
-    effective_ct: dict[Job, int] = {}
-    log: list = []
-    for job in pud_order:
-        if job in schedule:
-            # Already inserted as a dependent of a higher-PUD job.
-            continue
-        log.clear()
-        insert_chain(schedule, effective_ct, chains[job], log=log)
-        if not is_feasible(schedule, effective_ct, now):
-            rollback(schedule, effective_ct, log)
     return schedule

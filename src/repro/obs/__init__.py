@@ -3,7 +3,7 @@
 Spans, counters and histograms threaded through the simulated kernel,
 the scheduler policies and the campaign engine; exporters for Chrome
 trace-event JSON, JSONL event streams and a compact perf summary; and
-the perf-regression gate over the committed bench trajectories
+the perf-regression gate over the committed perfbench trajectories
 (:mod:`repro.obs.regress`, the one bench store).
 
 Only :mod:`repro.obs.events` and :mod:`repro.obs.observer` load eagerly

@@ -58,22 +58,6 @@ class ProfileResult:
             "scheduler_invocations": self.result.scheduler_invocations,
         }
 
-    def bench_metrics(self) -> dict[str, Any]:
-        """Deterministic metrics for a ``repro bench record`` trajectory
-        entry (wall time is passed alongside, not inside)."""
-        sched = self.observer.summary()["scheduler"]
-        return {
-            "workload": self.workload,
-            "sync": self.sync,
-            "seed": self.seed,
-            "aur": round(self.aur, 6),
-            "cmr": round(self.cmr, 6),
-            "jobs": len(self.result.records),
-            "retries": self.result.total_retries,
-            "decisions": sched["decisions"],
-            "scheduler_overhead_time": self.result.scheduler_overhead_time,
-        }
-
 
 def build_profile_tasks(workload: str, rng: random.Random,
                         n_tasks: int = 10, n_objects: int = 10,

@@ -1,11 +1,18 @@
-"""Perf-regression detection over committed bench trajectories.
+"""Perf-regression detection over the committed perfbench trajectories.
 
-This module is the one bench store: a per-bench summary trajectory
-under ``benchmarks/trajectories/<bench>.json`` — one compact record per
-recorded run (scalar summary metrics plus wall time), capped and
-evicted oldest-first — appended by ``benchmarks/conftest.record_bench``
-and ``python -m repro bench record``, and the detector ``python -m
-repro bench check`` runs against it.
+This module is the one bench store: ``benchmarks/trajectories/
+<workload>.json`` holds one entry per recorded ``perfbench/run.py``
+result of that workload, capped and evicted oldest-first.  ``python -m
+repro bench record`` ingests the saved stdout of one ``--trace 0`` run
+(the ``end_to_end`` block) and, optionally, one ``--trace 1`` run of the
+same workload and seed (the ``per_layer`` block) as one entry, and
+``python -m repro bench check`` gates the store.
+
+Each document carries, per metric, the ``unit`` and ``better`` direction
+``BENCHMARK.json`` declares, plus the ``bound`` of an end-to-end metric,
+copied at record time.  The gate therefore judges a metric only in its
+declared worse direction: an end-to-end metric at its benchmark bound,
+a per-layer metric at :data:`REL_THRESHOLD`.
 
 Detection is deliberately robust rather than clever (Alistarh et al.'s
 point that progress claims only hold under *measured* scheduler
@@ -20,11 +27,7 @@ analyzed, not anecdotal):
   so a slow multi-run drift is caught even when each step is small.
 * **Changepoint scan** — a mean-shift split statistic over the whole
   series locates *where* a level shift happened, which turns "the gate
-  is red" into "it regressed at entry seq N".
-
-A metric only gates in its *worse* direction (``wall_s`` up is bad,
-``aur`` down is bad); metrics with no declared direction are reported
-as informational drift and never fail the gate.
+  is red" into "layer X regressed at seq N".
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,11 +46,14 @@ from repro.campaign.io import atomic_write
 #: Default committed trajectory store, relative to the repo root.
 DEFAULT_TRAJECTORY_DIR = "benchmarks/trajectories"
 
-#: Environment override for the trajectory directory.
-ENV_TRAJECTORY_DIR = "REPRO_TRAJECTORY_DIR"
+#: Default benchmark spec the metric directions and bounds come from.
+DEFAULT_SPEC = "BENCHMARK.json"
 
-#: Trajectory length cap (entries, oldest evicted first).  Smaller than
-#: the raw BENCH cap: these files are committed and reviewed.
+#: The two metric blocks of a perfbench result, as ``BENCHMARK.json``
+#: names them: ``--trace 0`` reports the first, ``--trace 1`` the second.
+BLOCKS = ("end_to_end", "per_layer")
+
+#: Trajectory length cap (entries, oldest evicted first).
 MAX_ENTRIES = 150
 
 #: History points (excluding the newest) required before the gate
@@ -54,10 +61,11 @@ MAX_ENTRIES = 150
 MIN_HISTORY = 4
 
 #: Gate thresholds: the newest point must be ``Z_THRESHOLD`` robust
-#: standard deviations *and* ``REL_THRESHOLD`` relative change worse
-#: than its baseline to fail the gate.  Both must trip — z alone fires
-#: on ultra-stable series where any wobble is "many MADs", relative
-#: change alone fires on noisy-but-harmless series.
+#: standard deviations *and* a relative change worse than its baseline
+#: to fail the gate: the metric's benchmark bound for an end-to-end
+#: metric, ``REL_THRESHOLD`` for a per-layer one.  Both must trip — z
+#: alone fires on ultra-stable series where any wobble is "many MADs",
+#: relative change alone fires on noisy-but-harmless series.
 Z_THRESHOLD = 4.0
 REL_THRESHOLD = 0.25
 
@@ -66,26 +74,138 @@ REL_THRESHOLD = 0.25
 CHANGEPOINT_MIN_SEGMENT = 3
 CHANGEPOINT_SCORE = 3.0
 
-#: Metric name -> gated direction.  Matched on the exact key, else on
-#: the last ``_``-separated suffix (so ``scheduler_overhead_time``
-#: matches ``time``).  Everything else is informational.
-HIGHER_IS_WORSE = frozenset({
-    "wall_s", "retries", "blockings", "aborts", "time", "wasted",
-    "backoff", "violations", "shed", "deferrals", "ns",
-})
-LOWER_IS_WORSE = frozenset({"aur", "cmr", "utility", "throughput",
-                            "speedup"})
+#: The header line ``perfbench/run.py`` prints before its metrics.
+_HEADER = re.compile(
+    r"^# (?P<workload>[\w-]+) seed=(?P<seed>-?\d+) "
+    r"seconds=(?P<seconds>\S+) trace=(?P<trace>[01])$")
 
 
-def metric_direction(name: str) -> str:
-    """``"up"`` (higher is worse), ``"down"`` or ``"none"``."""
-    candidates = (name, name.rsplit("_", 1)[-1])
-    for candidate in candidates:
-        if candidate in HIGHER_IS_WORSE:
-            return "up"
-        if candidate in LOWER_IS_WORSE:
-            return "down"
-    return "none"
+class RecordError(ValueError):
+    """A perfbench result ``record`` refuses; the store is untouched."""
+
+
+# ----------------------------------------------------------------------
+# Ingest
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PerfbenchRun:
+    """One saved ``perfbench/run.py`` stdout: its header and result."""
+
+    workload: str
+    seed: int
+    seconds: float
+    trace: int
+    metrics: dict[str, float]
+
+
+def _is_number(value: Any) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def parse_run(text: str, source: str = "run") -> PerfbenchRun:
+    """Parse one run's stdout; refuse anything but a correct result."""
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    header = next((match for match in map(_HEADER.match, lines) if match),
+                  None)
+    if header is None:
+        raise RecordError(f"{source}: no '# <workload> seed=... "
+                          f"seconds=... trace=...' header line")
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict) \
+            or not isinstance(result.get("metrics"), dict):
+        raise RecordError(f"{source}: the last line is not a perfbench "
+                          f"JSON result")
+    if result.get("correct") is not True:
+        raise RecordError(
+            f"{source}: the run is not correct ({result.get('failed')} of "
+            f"{result.get('attempted')} operations failed); not recorded")
+    metrics = {}
+    for name, metric in result["metrics"].items():
+        value = metric.get("value") if isinstance(metric, dict) else None
+        if not _is_number(value):
+            raise RecordError(f"{source}: metric {name!r} has no finite "
+                              f"value")
+        metrics[name] = value if isinstance(value, int) \
+            else float(f"{value:.6g}")
+    return PerfbenchRun(workload=header["workload"],
+                        seed=int(header["seed"]),
+                        seconds=float(header["seconds"]),
+                        trace=int(header["trace"]), metrics=metrics)
+
+
+def declared_metrics(spec: dict[str, Any]) -> dict[str, dict[str, Any]]:
+    """Metric name -> ``{block, unit, better[, bound]}`` from a
+    ``BENCHMARK.json`` document."""
+    declared: dict[str, dict[str, Any]] = {}
+    for block in BLOCKS:
+        for metric in spec.get(block, []):
+            entry = {"block": block, "unit": metric["unit"],
+                     "better": metric["better"]}
+            if "bound" in metric:
+                entry["bound"] = metric["bound"]
+            declared[metric["name"]] = entry
+    return declared
+
+
+def entry_from_runs(runs: list[PerfbenchRun],
+                    declared: dict[str, dict[str, Any]]
+                    ) -> tuple[str, dict[str, Any]]:
+    """``(workload, entry)`` for one ``--trace 0`` run and at most one
+    ``--trace 1`` run of the same workload and seed."""
+    by_trace: dict[int, PerfbenchRun] = {}
+    for run in runs:
+        if run.trace in by_trace:
+            raise RecordError(f"two --trace {run.trace} runs; record takes "
+                              f"one --trace 0 run and at most one "
+                              f"--trace 1 run")
+        by_trace[run.trace] = run
+    plain = by_trace.get(0)
+    if plain is None:
+        raise RecordError("no --trace 0 run: the end-to-end block is "
+                          "required")
+    traced = by_trace.get(1)
+    if traced is not None and (traced.workload, traced.seed) \
+            != (plain.workload, plain.seed):
+        raise RecordError(
+            f"the --trace 1 run ({traced.workload} seed={traced.seed}) is "
+            f"not of the --trace 0 run's workload and seed "
+            f"({plain.workload} seed={plain.seed})")
+    entry: dict[str, Any] = {"seed": plain.seed, "seconds": plain.seconds}
+    for block, run in zip(BLOCKS, (plain, traced)):
+        if run is None:
+            continue
+        for name in run.metrics:
+            if declared.get(name, {}).get("block") != block:
+                raise RecordError(f"metric {name!r} is not in the "
+                                  f"benchmark spec's {block} block")
+        entry[block] = dict(sorted(run.metrics.items()))
+    return plain.workload, entry
+
+
+def record_runs(paths: Iterable[str | os.PathLike],
+                spec_path: str | os.PathLike = DEFAULT_SPEC,
+                directory: str | os.PathLike | None = None
+                ) -> tuple[Path, dict[str, Any]]:
+    """Validate saved perfbench runs and append them as one entry.
+
+    Every check runs before the store is written, so a refused run
+    leaves it byte-identical.  Returns the trajectory path and document.
+    """
+    try:
+        spec = json.loads(Path(spec_path).read_text(encoding="utf-8"))
+        runs = [parse_run(Path(path).read_text(encoding="utf-8"),
+                          source=str(path)) for path in paths]
+    except (OSError, json.JSONDecodeError) as exc:
+        raise RecordError(str(exc)) from None
+    declared = declared_metrics(spec)
+    workload, entry = entry_from_runs(runs, declared)
+    return append_trajectory(workload, entry, declared, directory)
 
 
 # ----------------------------------------------------------------------
@@ -94,8 +214,7 @@ def metric_direction(name: str) -> str:
 
 
 def trajectory_dir(directory: str | os.PathLike | None = None) -> Path:
-    return Path(directory or os.environ.get(ENV_TRAJECTORY_DIR)
-                or DEFAULT_TRAJECTORY_DIR)
+    return Path(directory or DEFAULT_TRAJECTORY_DIR)
 
 
 def trajectory_path(name: str,
@@ -106,8 +225,7 @@ def trajectory_path(name: str,
 def load_trajectory(name: str,
                     directory: str | os.PathLike | None = None
                     ) -> dict[str, Any]:
-    """The trajectory document (empty skeleton when absent/corrupt — a
-    broken store must not fail the bench that feeds it)."""
+    """The trajectory document (empty skeleton when absent/corrupt)."""
     path = trajectory_path(name, directory)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -116,10 +234,12 @@ def load_trajectory(name: str,
                 and isinstance(document.get("entries"), list)):
             document["entries"] = [entry for entry in document["entries"]
                                    if isinstance(entry, dict)]
+            if not isinstance(document.get("metrics"), dict):
+                document["metrics"] = {}
             return document
     except (OSError, json.JSONDecodeError):
         pass
-    return {"bench": name, "schema": 1, "entries": []}
+    return {"bench": name, "schema": 2, "metrics": {}, "entries": []}
 
 
 def _evict_oldest(entries: list[dict[str, Any]],
@@ -131,34 +251,31 @@ def _evict_oldest(entries: list[dict[str, Any]],
     return ordered[-cap:] if cap > 0 else ordered
 
 
-def append_trajectory(name: str, metrics: dict[str, Any],
-                      wall_s: float | None = None,
+def append_trajectory(name: str, entry: dict[str, Any],
+                      declared: dict[str, dict[str, Any]],
                       directory: str | os.PathLike | None = None,
-                      now: float | None = None) -> Path:
-    """Atomically append one summary record to the committed store.
-
-    Only scalar summary stats are kept (numbers, plus strings as run
-    provenance like workload/sync names) — never raw event streams.
-    """
+                      now: float | None = None
+                      ) -> tuple[Path, dict[str, Any]]:
+    """Atomically append one entry, copying the declared ``unit``,
+    ``better`` and ``bound`` of each metric it holds into the document.
+    Returns the path and the document; the new entry is the last."""
     document = load_trajectory(name, directory)
     entries = document["entries"]
-    summary: dict[str, Any] = {}
-    for key in sorted(metrics):
-        value = metrics[key]
-        if isinstance(value, bool) or isinstance(value, (int, float, str)):
-            summary[key] = value
-    next_seq = 1 + max((entry.get("seq", 0) for entry in entries),
-                       default=0)
+    for block in BLOCKS:
+        for metric in entry.get(block, {}):
+            document["metrics"][metric] = {
+                key: value for key, value in declared[metric].items()
+                if key != "block"}
     entries.append({
-        "seq": next_seq,
+        "seq": 1 + max((old.get("seq", 0) for old in entries), default=0),
         "unix_time": round(now if now is not None else time.time(), 3),
-        "wall_s": None if wall_s is None else round(float(wall_s), 6),
-        "metrics": summary,
+        **entry,
     })
     document["entries"] = _evict_oldest(entries)
     path = trajectory_path(name, directory)
+    path.parent.mkdir(parents=True, exist_ok=True)
     atomic_write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path
+    return path, document
 
 
 def list_trajectories(directory: str | os.PathLike | None = None
@@ -169,23 +286,28 @@ def list_trajectories(directory: str | os.PathLike | None = None
     return sorted(path.stem for path in base.glob("*.json"))
 
 
-def _series_of(document: dict[str, Any]) -> dict[str, list[float]]:
-    """Numeric series per metric (plus ``wall_s``), in seq order.
-    A metric missing from some entries contributes only where present."""
-    series: dict[str, list[float]] = {}
+@dataclass
+class _Series:
+    block: str
+    seqs: list[int] = field(default_factory=list)
+    values: list[float] = field(default_factory=list)
+
+
+def _series_of(document: dict[str, Any]) -> dict[str, _Series]:
+    """Numeric series per metric, in seq order.  A metric missing from
+    some entries (no ``--trace 1`` run) contributes only where present."""
+    series: dict[str, _Series] = {}
     for entry in sorted(document.get("entries", []),
                         key=lambda e: e.get("seq", 0)):
-        wall = entry.get("wall_s")
-        if isinstance(wall, (int, float)) and not isinstance(wall, bool):
-            series.setdefault("wall_s", []).append(float(wall))
-        metrics = entry.get("metrics")
-        if not isinstance(metrics, dict):
-            continue
-        for key, value in metrics.items():
-            if isinstance(value, bool):
+        for block in BLOCKS:
+            values = entry.get(block)
+            if not isinstance(values, dict):
                 continue
-            if isinstance(value, (int, float)) and math.isfinite(value):
-                series.setdefault(key, []).append(float(value))
+            for key, value in values.items():
+                if _is_number(value):
+                    points = series.setdefault(key, _Series(block))
+                    points.seqs.append(entry.get("seq", 0))
+                    points.values.append(float(value))
     return series
 
 
@@ -266,15 +388,17 @@ class SeriesVerdict:
     """The gate's judgement of one metric series of one bench."""
 
     metric: str
+    layer: str                     # core, serve, ... or end_to_end
     status: str                    # ok | regression | drift | insufficient-history
-    direction: str                 # up | down | none
+    better: str                    # lower | higher | none (never gated)
+    threshold: float               # relative change that trips the gate
     n: int
     latest: float | None = None
     median: float | None = None
     ewma: float | None = None
     z: float | None = None
     rel_change: float | None = None
-    changepoint: int | None = None       # entry index of the level shift
+    changepoint_seq: int | None = None   # seq where the series shifted
     changepoint_score: float | None = None
 
     @property
@@ -284,15 +408,17 @@ class SeriesVerdict:
     def to_dict(self) -> dict[str, Any]:
         return {
             "metric": self.metric,
+            "layer": self.layer,
             "status": self.status,
-            "direction": self.direction,
+            "better": self.better,
+            "threshold": self.threshold,
             "n": self.n,
             "latest": self.latest,
             "median": self.median,
             "ewma": self.ewma,
             "z": self.z,
             "rel_change": self.rel_change,
-            "changepoint": self.changepoint,
+            "changepoint_seq": self.changepoint_seq,
             "changepoint_score": self.changepoint_score,
         }
 
@@ -323,8 +449,6 @@ class RegressionReport:
     """The ``repro bench check`` outcome across every trajectory."""
 
     directory: str
-    z_threshold: float = Z_THRESHOLD
-    rel_threshold: float = REL_THRESHOLD
     benches: list[TrajectoryVerdict] = field(default_factory=list)
 
     @property
@@ -338,8 +462,8 @@ class RegressionReport:
     def to_dict(self) -> dict[str, Any]:
         return {
             "directory": self.directory,
-            "z_threshold": self.z_threshold,
-            "rel_threshold": self.rel_threshold,
+            "z_threshold": Z_THRESHOLD,
+            "rel_threshold": REL_THRESHOLD,
             "regressed": self.regressed,
             "total_regressions": self.total_regressions,
             "benches": [bench.to_dict() for bench in self.benches],
@@ -349,36 +473,40 @@ class RegressionReport:
         """The ASCII gate report (printed, and uploaded by CI)."""
         title = f"perf-regression gate: {self.directory}"
         lines = [title, "=" * len(title),
-                 f"thresholds: robust z >= {self.z_threshold:g} AND "
-                 f"relative change >= {self.rel_threshold:.0%} "
-                 f"(worse direction only)", ""]
+                 f"thresholds: robust z >= {Z_THRESHOLD:g} AND relative "
+                 f"change >= the metric's bound (end-to-end, from "
+                 f"BENCHMARK.json) or {REL_THRESHOLD:.0%} (per-layer), "
+                 f"worse direction only", ""]
         if not self.benches:
             lines.append("no trajectories found — nothing to gate")
             return "\n".join(lines)
-        header = (f"{'bench':<24} {'metric':<26} {'n':>4} {'median':>12} "
-                  f"{'latest':>12} {'z':>8} {'delta':>8}  status")
+        header = (f"{'bench':<15} {'metric':<32} {'n':>4} {'median':>12} "
+                  f"{'latest':>12} {'z':>8} {'delta':>8} {'bound':>6}  "
+                  f"status")
         lines += [header, "-" * len(header)]
+        red = []
         for bench in self.benches:
             for verdict in bench.series:
+                head = f"{bench.bench:<15} {verdict.metric:<32} {verdict.n:>4}"
                 if verdict.status == "insufficient-history":
-                    lines.append(
-                        f"{bench.bench:<24} {verdict.metric:<26} "
-                        f"{verdict.n:>4} {'-':>12} {'-':>12} {'-':>8} "
-                        f"{'-':>8}  insufficient history")
+                    lines.append(f"{head} {'-':>12} {'-':>12} {'-':>8} "
+                                 f"{'-':>8} {'-':>6}  insufficient history")
                     continue
-                marker = ("REGRESSION" if verdict.gated
-                          else verdict.status)
-                if verdict.gated and verdict.changepoint is not None:
-                    marker += (f" (changepoint at entry "
-                               f"{verdict.changepoint}, score "
-                               f"{verdict.changepoint_score:.1f})")
+                marker = "REGRESSION" if verdict.gated else verdict.status
                 lines.append(
-                    f"{bench.bench:<24} {verdict.metric:<26} "
-                    f"{verdict.n:>4} {verdict.median:>12.6g} "
-                    f"{verdict.latest:>12.6g} {verdict.z:>8.2f} "
-                    f"{verdict.rel_change:>+8.1%}  {marker}")
+                    f"{head} {verdict.median:>12.6g} {verdict.latest:>12.6g} "
+                    f"{verdict.z:>8.2f} {verdict.rel_change:>+8.1%} "
+                    f"{verdict.threshold:>6.0%}  {marker}")
+                if verdict.gated:
+                    red.append(
+                        f"{bench.bench}: layer {verdict.layer} regressed "
+                        f"at seq {verdict.changepoint_seq}: "
+                        f"{verdict.metric} {verdict.rel_change:+.1%} "
+                        f"(bound {verdict.threshold:.0%}, better "
+                        f"{verdict.better})")
         lines.append("")
-        if self.regressed:
+        if red:
+            lines += red
             lines.append(f"GATE FAILED: {self.total_regressions} "
                          f"regressed series")
         else:
@@ -387,13 +515,23 @@ class RegressionReport:
 
 
 def judge_series(metric: str, values: list[float],
-                 z_threshold: float = Z_THRESHOLD,
-                 rel_threshold: float = REL_THRESHOLD) -> SeriesVerdict:
-    """Judge the newest point of one metric series against its history."""
-    direction = metric_direction(metric)
+                 better: str | None = None,
+                 threshold: float = REL_THRESHOLD,
+                 seqs: list[int] | None = None,
+                 layer: str = "end_to_end") -> SeriesVerdict:
+    """Judge the newest point of one metric series against its history.
+
+    ``better`` is the declared direction (``"lower"`` or ``"higher"``);
+    a series without one is reported, never gated.  ``seqs`` are the
+    entries' seq numbers (default ``1..n``); a regression names the seq
+    of the changepoint scan's worse-direction shift, else the newest.
+    """
+    better = better if better in ("lower", "higher") else "none"
+    common = {"metric": metric, "layer": layer, "better": better,
+              "threshold": threshold, "n": len(values)}
     if len(values) < MIN_HISTORY + 1:
-        return SeriesVerdict(metric=metric, status="insufficient-history",
-                             direction=direction, n=len(values))
+        return SeriesVerdict(status="insufficient-history", **common)
+    seqs = seqs if seqs is not None else list(range(1, len(values) + 1))
     history, latest = values[:-1], values[-1]
     center = _median(history)
     baseline = ewma(history)
@@ -404,47 +542,53 @@ def judge_series(metric: str, values: list[float],
     z = (latest - center) / scale
     rel_base = max(abs(baseline), 1e-12)
     rel = (latest - baseline) / rel_base
-    change = changepoint_scan(values)
-    changepoint = changepoint_score = None
-    if change is not None and change[1] >= CHANGEPOINT_SCORE:
-        changepoint, changepoint_score = change[0], change[1]
+    sign = {"lower": 1, "higher": -1}.get(better, 0)
 
-    worse = (z > 0 and direction == "up") or (z < 0 and direction == "down")
-    tripped = (abs(z) >= z_threshold and abs(rel) >= rel_threshold)
-    if direction != "none" and worse and tripped:
+    tripped = abs(z) >= Z_THRESHOLD and abs(rel) >= threshold
+    changepoint_seq = changepoint_score = None
+    if sign and sign * z > 0 and tripped:
         status = "regression"
+        changepoint_seq = seqs[-1]
+        change = changepoint_scan(values)
+        if change is not None and change[1] >= CHANGEPOINT_SCORE:
+            index, score = change
+            shift = _median(values[index:]) - _median(values[:index])
+            if sign * shift > 0:
+                changepoint_seq, changepoint_score = seqs[index], score
     elif tripped:
         status = "drift"        # reported, never gated
     else:
         status = "ok"
-    return SeriesVerdict(metric=metric, status=status, direction=direction,
-                         n=len(values), latest=latest, median=center,
+    return SeriesVerdict(status=status, latest=latest, median=center,
                          ewma=baseline, z=z, rel_change=rel,
-                         changepoint=changepoint,
-                         changepoint_score=changepoint_score)
+                         changepoint_seq=changepoint_seq,
+                         changepoint_score=changepoint_score, **common)
 
 
 def check_trajectories(directory: str | os.PathLike | None = None,
-                       z_threshold: float = Z_THRESHOLD,
-                       rel_threshold: float = REL_THRESHOLD,
                        benches: Iterable[str] | None = None
                        ) -> RegressionReport:
-    """Run the gate over every (or the named) committed trajectories."""
+    """Run the gate over every (or the named) committed trajectories,
+    each metric in the direction and at the bound its document holds."""
     base = trajectory_dir(directory)
     names = sorted(benches) if benches is not None \
         else list_trajectories(base)
-    report = RegressionReport(directory=str(base),
-                              z_threshold=z_threshold,
-                              rel_threshold=rel_threshold)
+    report = RegressionReport(directory=str(base))
     for name in names:
         document = load_trajectory(name, base)
         verdict = TrajectoryVerdict(bench=name,
                                     entries=len(document["entries"]))
         series = _series_of(document)
-        for metric in sorted(series):
-            verdict.series.append(
-                judge_series(metric, series[metric],
-                             z_threshold=z_threshold,
-                             rel_threshold=rel_threshold))
+        for metric in sorted(series, key=lambda key: (
+                BLOCKS.index(series[key].block), key)):
+            points = series[metric]
+            declared = document["metrics"].get(metric, {})
+            # A per-layer metric names its layer by prefix (core., ...).
+            layer = metric.split(".", 1)[0] \
+                if points.block == "per_layer" else points.block
+            verdict.series.append(judge_series(
+                metric, points.values, better=declared.get("better"),
+                threshold=declared.get("bound", REL_THRESHOLD),
+                seqs=points.seqs, layer=layer))
         report.benches.append(verdict)
     return report

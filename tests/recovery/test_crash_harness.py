@@ -229,6 +229,7 @@ def test_serve_sigkill_warm_restart(tmp_path, spawn):
 
     from repro.api import simulate
     from repro.serve import canonical_payload_json, result_payload
+    from repro.serve.cache import ResultCache
 
     cache_dir = tmp_path / "cache"
     wal = tmp_path / "requests.wal"
@@ -255,6 +256,14 @@ def test_serve_sigkill_warm_restart(tmp_path, spawn):
             proc.wait(timeout=30)
     admitted = _wal_digests(wal)
     assert admitted == {s.digest() for s in scenarios}
+    # A request can finish, and be cached, between the last admission
+    # and the kill; recovery correctly skips it.  The crash point is
+    # what the disk holds now: exactly the journaled digests with no
+    # cached result must be recovered.
+    cache = ResultCache(cache_dir)
+    unfinished = {digest for digest in admitted
+                  if cache.get(digest) is None}
+    assert len(unfinished) >= 1, "every request finished before the kill"
 
     # Warm restart against the same cache + WAL, on the SAME port: the
     # SIGKILLed server's orphaned pool workers must not hold the
@@ -286,7 +295,7 @@ def test_serve_sigkill_warm_restart(tmp_path, spawn):
 
         with urllib.request.urlopen(url + "/stats", timeout=5) as response:
             stats = json.loads(response.read())
-        assert stats["recovery"]["recovered"] == len(scenarios)
+        assert stats["recovery"]["recovered"] == len(unfinished)
         assert not any(code.startswith("5")
                        for code in stats["responses"])
     finally:
