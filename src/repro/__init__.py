@@ -28,26 +28,15 @@ Quickstart::
     print(result.aur, result.cmr)
 """
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.api import (
-    CampaignConfig,
-    CampaignEngine,
-    Scenario,
-    SimulationSummary,
-    atomic_write,
-    quick_scenario,
-    quick_simulation,
-    simulate,
-)
 
-__all__ = [
-    "__version__",
-    "Scenario",
-    "simulate",
-    "quick_scenario",
-    "quick_simulation",
-    "SimulationSummary",
-    "CampaignConfig",
-    "CampaignEngine",
-    "atomic_write",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.scenario": ("Scenario",),
+    "repro.api": ("simulate", "quick_scenario", "quick_simulation",
+                  "SimulationSummary"),
+    "repro.campaign.spec": ("CampaignConfig",),
+    "repro.campaign.engine": ("CampaignEngine",),
+    "repro.campaign.io": ("atomic_write",),
+})
+__all__.insert(0, "__version__")

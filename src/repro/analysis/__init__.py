@@ -12,48 +12,24 @@
   (:mod:`repro.analysis.complexity`).
 """
 
-from repro.analysis.preemption import max_scheduling_events
-from repro.analysis.retry_bound import (
-    interference_events,
-    retry_bound,
-    retry_bound_for_taskset,
-)
-from repro.analysis.sojourn import (
-    SojournComparison,
-    blocking_count_bound,
-    compare_sojourn,
-    exact_ratio_threshold,
-    lockbased_sojourn_bound,
-    lockfree_sojourn_bound,
-    lockfree_wins_ratio_threshold,
-    sufficient_ratio_for_lockfree,
-)
-from repro.analysis.aur_bounds import (
-    AURBounds,
-    lemma4_lockfree_aur_bounds,
-    lemma5_lockbased_aur_bounds,
-)
-from repro.analysis.complexity import (
-    lockbased_rua_operations,
-    lockfree_rua_operations,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "max_scheduling_events",
-    "interference_events",
-    "retry_bound",
-    "retry_bound_for_taskset",
-    "SojournComparison",
-    "blocking_count_bound",
-    "compare_sojourn",
-    "exact_ratio_threshold",
-    "lockbased_sojourn_bound",
-    "lockfree_sojourn_bound",
-    "lockfree_wins_ratio_threshold",
-    "sufficient_ratio_for_lockfree",
-    "AURBounds",
-    "lemma4_lockfree_aur_bounds",
-    "lemma5_lockbased_aur_bounds",
-    "lockbased_rua_operations",
-    "lockfree_rua_operations",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.analysis.preemption": ("max_scheduling_events",),
+    "repro.analysis.retry_bound": (
+        "interference_events", "retry_bound", "retry_bound_for_taskset",
+    ),
+    "repro.analysis.sojourn": (
+        "SojournComparison", "blocking_count_bound", "compare_sojourn",
+        "exact_ratio_threshold", "lockbased_sojourn_bound",
+        "lockfree_sojourn_bound", "lockfree_wins_ratio_threshold",
+        "sufficient_ratio_for_lockfree",
+    ),
+    "repro.analysis.aur_bounds": (
+        "AURBounds", "lemma4_lockfree_aur_bounds",
+        "lemma5_lockbased_aur_bounds",
+    ),
+    "repro.analysis.complexity": (
+        "lockbased_rua_operations", "lockfree_rua_operations",
+    ),
+})

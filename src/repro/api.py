@@ -15,22 +15,9 @@ writes).
 
 from __future__ import annotations
 
-from repro.campaign import (           # noqa: F401 - public re-exports
-    CampaignConfig,
-    CampaignEngine,
-    CampaignResult,
-    CampaignStats,
-    TrialFailure,
-    atomic_write,
-)
-
-from repro.obs import (                # noqa: F401 - public re-exports
-    NULL_OBSERVER,
-    Observer,
-)
-
 from dataclasses import dataclass
 
+from repro._lazy import lazy_exports
 from repro.core.edf import EDF
 from repro.core.llf import LLF
 from repro.core.rua_lockbased import LockBasedRUA
@@ -40,6 +27,16 @@ from repro.sim.kernel import Kernel, SimulationConfig, SyncMode
 from repro.sim.metrics import SimulationResult
 from repro.sim.overheads import KernelCosts
 from repro.tasks.taskset import approximate_load
+
+# The campaign and observer re-exports load on first use, so that
+# ``simulate`` alone never imports the campaign engine.
+__getattr__, __dir__, _ = lazy_exports(__name__, {
+    "repro.campaign.spec": ("CampaignConfig", "CampaignResult",
+                            "CampaignStats", "TrialFailure"),
+    "repro.campaign.engine": ("CampaignEngine",),
+    "repro.campaign.io": ("atomic_write",),
+    "repro.obs.observer": ("NULL_OBSERVER", "Observer"),
+})
 
 __all__ = [
     "Scenario",

@@ -13,34 +13,16 @@ uniform, bursty/adversarial (the worst case used in the proof of the
 paper's Theorem 2), Poisson-thinned and periodic.
 """
 
-from repro.arrivals.spec import UAMSpec
-from repro.arrivals.validate import (
-    OnlineWindowCounter,
-    UAMViolation,
-    check_uam,
-    max_arrivals_in_any_window,
-    min_arrivals_in_any_window,
-)
-from repro.arrivals.generators import (
-    ArrivalGenerator,
-    BurstyUAMGenerator,
-    PeriodicGenerator,
-    PoissonThinnedUAMGenerator,
-    UniformUAMGenerator,
-    generator_for,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "UAMSpec",
-    "OnlineWindowCounter",
-    "UAMViolation",
-    "check_uam",
-    "max_arrivals_in_any_window",
-    "min_arrivals_in_any_window",
-    "ArrivalGenerator",
-    "PeriodicGenerator",
-    "UniformUAMGenerator",
-    "BurstyUAMGenerator",
-    "PoissonThinnedUAMGenerator",
-    "generator_for",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.arrivals.spec": ("UAMSpec",),
+    "repro.arrivals.validate": (
+        "OnlineWindowCounter", "UAMViolation", "check_uam",
+        "max_arrivals_in_any_window", "min_arrivals_in_any_window",
+    ),
+    "repro.arrivals.generators": (
+        "ArrivalGenerator", "BurstyUAMGenerator", "PeriodicGenerator",
+        "PoissonThinnedUAMGenerator", "UniformUAMGenerator", "generator_for",
+    ),
+})

@@ -21,27 +21,25 @@ adds, on top of the plain serial loop:
 code paths; the resilience machinery is pay-for-what-you-use.
 """
 
-from repro.campaign.chaos import ChaosPlan
-from repro.campaign.engine import CampaignEngine
-from repro.campaign.io import atomic_write
-from repro.campaign.journal import CampaignJournal, JournalError, load_journal
-from repro.campaign.resume import (
-    CheckpointStore,
-    TrialContext,
-    simulate_scenario_trial,
-)
-from repro.campaign.seeding import backoff_delay, derive_seed, derive_seeds
-from repro.campaign.spec import (
-    RETRYABLE_KINDS,
-    CampaignConfig,
-    CampaignResult,
-    CampaignStats,
-    SimulatedWorkerCrash,
-    TransientTrialError,
-    TrialFailure,
-    TrialOutcome,
-    TrialSpec,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.campaign.chaos": ("ChaosPlan",),
+    "repro.campaign.engine": ("CampaignEngine",),
+    "repro.campaign.io": ("atomic_write",),
+    "repro.campaign.journal": ("CampaignJournal", "JournalError",
+                               "load_journal"),
+    "repro.campaign.resume": ("CheckpointStore", "TrialContext",
+                              "simulate_scenario_trial"),
+    "repro.campaign.seeding": ("backoff_delay", "derive_seed",
+                               "derive_seeds"),
+    "repro.campaign.spec": (
+        "RETRYABLE_KINDS", "CampaignConfig", "CampaignResult",
+        "CampaignStats", "SimulatedWorkerCrash", "TransientTrialError",
+        "TrialFailure", "TrialOutcome", "TrialSpec",
+    ),
+})
+__all__.append("as_engine")
 
 
 def as_engine(campaign: "CampaignConfig | CampaignEngine | None",
@@ -49,36 +47,15 @@ def as_engine(campaign: "CampaignConfig | CampaignEngine | None",
     """Normalize the ``campaign=`` argument the experiment entry points
     accept: ``None`` stays ``None`` (plain serial path), a config is
     wrapped in a fresh engine, an engine is passed through."""
-    if campaign is None or isinstance(campaign, CampaignEngine):
+    if campaign is None:
+        return None
+    from repro.campaign.engine import CampaignEngine
+    from repro.campaign.spec import CampaignConfig
+
+    if isinstance(campaign, CampaignEngine):
         return campaign
     if isinstance(campaign, CampaignConfig):
         return CampaignEngine(campaign, tag=tag)
     raise TypeError(
         f"campaign must be CampaignConfig, CampaignEngine or None, "
         f"not {type(campaign).__name__}")
-
-
-__all__ = [
-    "CampaignConfig",
-    "CampaignEngine",
-    "CampaignJournal",
-    "CampaignResult",
-    "CampaignStats",
-    "ChaosPlan",
-    "CheckpointStore",
-    "JournalError",
-    "RETRYABLE_KINDS",
-    "SimulatedWorkerCrash",
-    "TransientTrialError",
-    "TrialContext",
-    "TrialFailure",
-    "TrialOutcome",
-    "TrialSpec",
-    "as_engine",
-    "atomic_write",
-    "backoff_delay",
-    "derive_seed",
-    "derive_seeds",
-    "load_journal",
-    "simulate_scenario_trial",
-]

@@ -14,45 +14,23 @@
   suite asserts.
 """
 
-from repro.core.interface import PassResult, SchedulerPolicy, fastpath_enabled
-from repro.core.dependency import (
-    DeadlockDetected,
-    blocking_owner,
-    dependency_chain,
-    needed_object,
-)
-from repro.core.pud import chain_pud, completion_estimates
-from repro.core.feasibility import is_feasible
-from repro.core.schedule_builder import (
-    build_rua_schedule,
-    insert_chain,
-)
-from repro.core.schedule_cache import ScheduleCache, build_singleton_schedule
-from repro.core.deadlock import detect_deadlock, pick_deadlock_victim
-from repro.core.rua_lockbased import LockBasedRUA
-from repro.core.rua_lockfree import LockFreeRUA
-from repro.core.edf import EDF
-from repro.core.llf import LLF
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SchedulerPolicy",
-    "PassResult",
-    "fastpath_enabled",
-    "ScheduleCache",
-    "build_singleton_schedule",
-    "DeadlockDetected",
-    "needed_object",
-    "blocking_owner",
-    "dependency_chain",
-    "chain_pud",
-    "completion_estimates",
-    "is_feasible",
-    "insert_chain",
-    "build_rua_schedule",
-    "detect_deadlock",
-    "pick_deadlock_victim",
-    "LockBasedRUA",
-    "LockFreeRUA",
-    "EDF",
-    "LLF",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.interface": (
+        "PassResult", "SchedulerPolicy", "fastpath_enabled",
+    ),
+    "repro.core.dependency": (
+        "DeadlockDetected", "blocking_owner", "dependency_chain",
+        "needed_object",
+    ),
+    "repro.core.pud": ("chain_pud", "completion_estimates"),
+    "repro.core.feasibility": ("is_feasible",),
+    "repro.core.schedule_builder": ("build_rua_schedule", "insert_chain"),
+    "repro.core.schedule_cache": ("ScheduleCache", "build_singleton_schedule"),
+    "repro.core.deadlock": ("detect_deadlock", "pick_deadlock_victim"),
+    "repro.core.rua_lockbased": ("LockBasedRUA",),
+    "repro.core.rua_lockfree": ("LockFreeRUA",),
+    "repro.core.edf": ("EDF",),
+    "repro.core.llf": ("LLF",),
+})

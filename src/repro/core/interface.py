@@ -152,6 +152,10 @@ class SchedulerPolicy(ABC):
         self._deadlock_victims.append(job)
 
     def consume_abort_requests(self) -> list[Job]:
+        """The victims requested since the last call (an empty list,
+        not a fresh one, when there are none: the kernel asks after
+        every pass)."""
         victims = self._deadlock_victims
-        self._deadlock_victims = []
+        if victims:
+            self._deadlock_victims = []
         return victims

@@ -13,25 +13,14 @@ One function per figure (:mod:`repro.experiments.figures`), built on:
   series, the shape-comparison artifact recorded in EXPERIMENTS.md.
 """
 
-from repro.experiments.stats import Estimate, estimate, Series
-from repro.experiments.workloads import (
-    paper_taskset,
-    readers_taskset,
-    scaled_paper_taskset,
-)
-from repro.experiments.runner import run_many, run_once
-from repro.experiments.cml import measure_cml
-from repro.experiments.report import format_series_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Estimate",
-    "estimate",
-    "Series",
-    "paper_taskset",
-    "scaled_paper_taskset",
-    "readers_taskset",
-    "run_once",
-    "run_many",
-    "measure_cml",
-    "format_series_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.experiments.stats": ("Estimate", "estimate", "Series"),
+    "repro.experiments.workloads": (
+        "paper_taskset", "readers_taskset", "scaled_paper_taskset",
+    ),
+    "repro.experiments.runner": ("run_many", "run_once"),
+    "repro.experiments.cml": ("measure_cml",),
+    "repro.experiments.report": ("format_series_table",),
+})

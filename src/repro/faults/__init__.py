@@ -11,39 +11,18 @@ checkers whose findings land in a structured :class:`DegradationReport`
 on the :class:`~repro.sim.metrics.SimulationResult`.
 """
 
-from repro.faults.degradation import (
-    AdmissionGuard,
-    AdmissionPolicy,
-    Decision,
-    RetryGuard,
-    ShedMode,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.monitors import MonitorSuite
-from repro.faults.plan import (
-    ArrivalBurst,
-    CostJitter,
-    FaultPlan,
-    SegmentOverrun,
-    SpuriousRetry,
-    TimerFault,
-)
-from repro.faults.report import DegradationReport, InvariantViolation
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionGuard",
-    "AdmissionPolicy",
-    "ArrivalBurst",
-    "CostJitter",
-    "Decision",
-    "DegradationReport",
-    "FaultInjector",
-    "FaultPlan",
-    "InvariantViolation",
-    "MonitorSuite",
-    "RetryGuard",
-    "SegmentOverrun",
-    "ShedMode",
-    "SpuriousRetry",
-    "TimerFault",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.faults.degradation": (
+        "AdmissionGuard", "AdmissionPolicy", "Decision", "RetryGuard",
+        "ShedMode",
+    ),
+    "repro.faults.injector": ("FaultInjector",),
+    "repro.faults.monitors": ("MonitorSuite",),
+    "repro.faults.plan": (
+        "ArrivalBurst", "CostJitter", "FaultPlan", "SegmentOverrun",
+        "SpuriousRetry", "TimerFault",
+    ),
+    "repro.faults.report": ("DegradationReport", "InvariantViolation"),
+})

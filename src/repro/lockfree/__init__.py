@@ -14,44 +14,20 @@ Linearizability of concurrent histories is checked with a Wing–Gong style
 exhaustive checker against sequential reference specifications.
 """
 
-from repro.lockfree.interleave import (
-    Fiber,
-    VM,
-    adversarial_scheduler,
-    random_scheduler,
-    round_robin_scheduler,
-)
-from repro.lockfree.atomics import AtomicRef
-from repro.lockfree.ms_queue import EMPTY, MSQueue
-from repro.lockfree.linked_list import LockFreeLinkedList
-from repro.lockfree.nbw import NBWRegister
-from repro.lockfree.waitfree_register import WaitFreeRegister
-from repro.lockfree.treiber_stack import STACK_EMPTY, TreiberStack
-from repro.lockfree.linearizability import (
-    Operation,
-    SeqQueue,
-    SeqStack,
-    is_linearizable,
-    recorded,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "VM",
-    "Fiber",
-    "round_robin_scheduler",
-    "random_scheduler",
-    "adversarial_scheduler",
-    "AtomicRef",
-    "MSQueue",
-    "EMPTY",
-    "LockFreeLinkedList",
-    "NBWRegister",
-    "WaitFreeRegister",
-    "TreiberStack",
-    "STACK_EMPTY",
-    "Operation",
-    "SeqQueue",
-    "SeqStack",
-    "is_linearizable",
-    "recorded",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.lockfree.interleave": (
+        "Fiber", "VM", "adversarial_scheduler", "random_scheduler",
+        "round_robin_scheduler",
+    ),
+    "repro.lockfree.atomics": ("AtomicRef",),
+    "repro.lockfree.ms_queue": ("EMPTY", "MSQueue"),
+    "repro.lockfree.linked_list": ("LockFreeLinkedList",),
+    "repro.lockfree.nbw": ("NBWRegister",),
+    "repro.lockfree.waitfree_register": ("WaitFreeRegister",),
+    "repro.lockfree.treiber_stack": ("STACK_EMPTY", "TreiberStack"),
+    "repro.lockfree.linearizability": (
+        "Operation", "SeqQueue", "SeqStack", "is_linearizable", "recorded",
+    ),
+})

@@ -7,37 +7,17 @@ worker processes, a content-addressed result cache keyed by
 :mod:`repro.serve.app` for the pipeline overview.
 """
 
-from repro.serve.admission import (
-    AdmissionDecision,
-    AdmissionQueue,
-    ServeRequest,
-)
-from repro.serve.app import ServeApp, ServeConfig
-from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.serve.cache import ResultCache, canonical_payload_json
-from repro.serve.drain import DrainController, install_drain_signal
-from repro.serve.loadgen import LoadConfig, run_load
-from repro.serve.pool import PoolFailure, SimulationPool, result_payload
-from repro.serve.wal import RequestLog
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionDecision",
-    "AdmissionQueue",
-    "ServeRequest",
-    "ServeApp",
-    "ServeConfig",
-    "CircuitBreaker",
-    "CLOSED",
-    "HALF_OPEN",
-    "OPEN",
-    "ResultCache",
-    "canonical_payload_json",
-    "DrainController",
-    "install_drain_signal",
-    "LoadConfig",
-    "run_load",
-    "PoolFailure",
-    "RequestLog",
-    "SimulationPool",
-    "result_payload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.serve.admission": (
+        "AdmissionDecision", "AdmissionQueue", "ServeRequest",
+    ),
+    "repro.serve.app": ("ServeApp", "ServeConfig"),
+    "repro.serve.breaker": ("CLOSED", "HALF_OPEN", "OPEN", "CircuitBreaker"),
+    "repro.serve.cache": ("ResultCache", "canonical_payload_json"),
+    "repro.serve.drain": ("DrainController", "install_drain_signal"),
+    "repro.serve.loadgen": ("LoadConfig", "run_load"),
+    "repro.serve.pool": ("PoolFailure", "SimulationPool", "result_payload"),
+    "repro.serve.wal": ("RequestLog",),
+})

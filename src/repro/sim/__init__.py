@@ -13,52 +13,21 @@ which is what lets the simulation reproduce the overhead-driven figures of
 the paper (Figures 8 and 9) without measuring Python wall time.
 """
 
-from repro.sim.engine import EventQueue, QueueEmpty
-from repro.sim.events import (
-    CriticalTimeExpiry,
-    EventPriority,
-    JobArrival,
-    Milestone,
-)
-from repro.sim.overheads import (
-    ConstantCost,
-    CostModel,
-    LinearithmicCost,
-    QuadraticCost,
-    QuadraticLogCost,
-    ZeroCost,
-    KernelCosts,
-)
-from repro.sim.locks import LockManager
-from repro.sim.objects import LockFreeObjectTable, RetryPolicy
-from repro.sim.kernel import Kernel, SimulationConfig, SyncMode
-from repro.sim.metrics import JobRecord, SimulationResult
-from repro.sim.tracing import TraceEvent, Tracer
-from repro.sim.gantt import render_gantt
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EventQueue",
-    "QueueEmpty",
-    "EventPriority",
-    "JobArrival",
-    "CriticalTimeExpiry",
-    "Milestone",
-    "CostModel",
-    "ZeroCost",
-    "ConstantCost",
-    "LinearithmicCost",
-    "QuadraticCost",
-    "QuadraticLogCost",
-    "KernelCosts",
-    "LockManager",
-    "LockFreeObjectTable",
-    "RetryPolicy",
-    "Kernel",
-    "SimulationConfig",
-    "SyncMode",
-    "JobRecord",
-    "SimulationResult",
-    "TraceEvent",
-    "Tracer",
-    "render_gantt",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.sim.engine": ("EventQueue", "QueueEmpty"),
+    "repro.sim.events": (
+        "CriticalTimeExpiry", "EventPriority", "JobArrival", "Milestone",
+    ),
+    "repro.sim.overheads": (
+        "ConstantCost", "CostModel", "LinearithmicCost", "QuadraticCost",
+        "QuadraticLogCost", "ZeroCost", "KernelCosts",
+    ),
+    "repro.sim.locks": ("LockManager",),
+    "repro.sim.objects": ("LockFreeObjectTable", "RetryPolicy"),
+    "repro.sim.kernel": ("Kernel", "SimulationConfig", "SyncMode"),
+    "repro.sim.metrics": ("JobRecord", "SimulationResult"),
+    "repro.sim.tracing": ("TraceEvent", "Tracer"),
+    "repro.sim.gantt": ("render_gantt",),
+})

@@ -12,6 +12,10 @@ segment boundary — so the queued event kinds reduce to:
   dispatched job finishes its current segment (internal bookkeeping; it
   carries a dispatch token so stale milestones from before a preemption
   are ignored).
+
+The three are plain slotted records: the kernel builds one per queued
+event (a milestone per dispatch), so they skip the frozen dataclass's
+``object.__setattr__`` per field.  Nothing mutates a queued event.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ class EventPriority(enum.IntEnum):
     MILESTONE = 2
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class JobArrival:
     """Release of job ``jid`` of task index ``task_index``.
 
@@ -51,14 +55,14 @@ class JobArrival:
     deferrals: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class CriticalTimeExpiry:
     """One-shot abort timer armed at the job's release (Section 3.5)."""
 
     job: Job
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class Milestone:
     """The dispatched job reaches the end of its current segment.
 

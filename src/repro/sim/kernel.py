@@ -61,7 +61,7 @@ from repro.sim.objects import LockFreeObjectTable, RetryPolicy
 from repro.sim.overheads import KernelCosts
 from repro.sim.tracing import TraceKind, Tracer
 from repro.tasks.job import Job, JobState
-from repro.tasks.segments import ObjectAccess, ReleaseLock, Segment
+from repro.tasks.segments import Compute, ObjectAccess, ReleaseLock
 from repro.tasks.task import TaskSpec
 
 if TYPE_CHECKING:  # avoid an import cycle with repro.core
@@ -156,6 +156,16 @@ class SimulationConfig:
                 )
 
 
+#: A checkpoint mark no event count or clock reaches.
+_NEVER = float("inf")
+
+#: Queue priority of a milestone, as the plain int the heap compares.
+_MILESTONE = int(EventPriority.MILESTONE)
+#: The dispatchable job states, tested by identity in the pass loop.
+_READY = JobState.READY
+_RUNNING = JobState.RUNNING
+
+
 class Kernel:
     """One simulation run.  Create, :meth:`run`, inspect the result."""
 
@@ -188,6 +198,14 @@ class Kernel:
         self._objects = LockFreeObjectTable(policy=config.retry_policy)
         self._result = SimulationResult(horizon=config.horizon)
         self._finished = False
+        #: Segment-boundary tables of this run's sync mode.
+        self._finish = self._FINISH[config.sync]
+        self._next = self._NEXT[config.sync]
+        #: Entry of a shared-object access: only lock-free sharing runs
+        #: a protocol there (lock-based entry is the dispatch walk).
+        self._enter_access = (Kernel._enter_lockfree_access
+                              if config.sync is SyncMode.LOCK_FREE
+                              else Kernel._enter_plain)
         # --- fault injection / graceful degradation -------------------
         degradation_active = (
             (config.fault_plan is not None and not config.fault_plan.empty)
@@ -239,31 +257,62 @@ class Kernel:
         self._finished = True
         if not self._restored:
             self._prime_arrivals()
-        ckpt_policy = self.config.checkpoints
+        horizon = self.config.horizon
+        monitors = self._monitors
         handlers = self._HANDLERS
-        while self._queue:
-            next_time = self._queue.peek_time()
-            if next_time is None or next_time > self.config.horizon:
-                break
-            time, event = self._queue.pop()
-            if self._monitors is not None:
-                self._monitors.note_clock(time)
-            self._advance_running_to(time)
+        # Every handled event goes through EventQueue.pop (perfbench
+        # counts those calls); the loop only peeks at the heap's head.
+        pop = self._queue.pop
+        heap = self._queue._heap
+        obs = self.obs
+        obs_enabled = obs.enabled
+        # A checkpoint is due once either meter reaches its mark (no
+        # call per event while an armed policy stays idle).
+        ckpt_policy = self.config.checkpoints
+        due_events = due_clock = _NEVER
+        if ckpt_policy is not None:
+            due_events, due_clock = self._checkpoint_marks(ckpt_policy)
+        while heap and heap[0][0] <= horizon:
+            time, event = pop()
+            if monitors is not None:
+                monitors.note_clock(time)
+            # Advance the running job to the event's time.
+            job = self._running
+            if job is not None and time > self._running_since:
+                since = self._running_since
+                segment = job.task.segment_at[job.segment_index]
+                if segment is not None:
+                    # Clamped to the segment's remaining work, so
+                    # Job.advance's overrun check holds by construction.
+                    amount = (segment.duration + job.segment_extra
+                              - job.segment_progress)
+                    if time - since < amount:
+                        amount = time - since
+                    if amount > 0:
+                        job.segment_progress += amount
+                        if monitors is not None:
+                            monitors.note_execution(job, since,
+                                                    since + amount)
+                        if obs_enabled:
+                            obs.span("exec", "cpu", job.task.name, since,
+                                     amount, {"job": job.name,
+                                              "segment": job.segment_index})
+                self._running_since = time
             self._clock = time
             handlers[type(event)](self, event)
             self._events_handled += 1
-            if ckpt_policy is not None and \
-                    self._checkpoint_due(ckpt_policy):
+            if self._events_handled >= due_events or time >= due_clock:
                 self._emit_checkpoint()
+                due_events, due_clock = self._checkpoint_marks(ckpt_policy)
         # The live set contains exactly the unfinished jobs — completed
         # and aborted jobs are removed at their transition (previously
         # this re-scanned a stale list that could still carry departed
         # entries between passes).
         self._result.unfinished = len(self._live)
         self._result.degradation = self._report
-        if self.obs.enabled:
-            self.obs.close_open_spans(self._clock)
-            self._result.obs = self.obs.summary()
+        if obs_enabled:
+            obs.close_open_spans(self._clock)
+            self._result.obs = obs.summary()
         return self._result
 
     # ------------------------------------------------------------------
@@ -284,14 +333,17 @@ class Kernel:
         the uninterrupted run."""
         return restore_kernel(config, checkpoint)
 
-    def _checkpoint_due(self, policy: CheckpointPolicy) -> bool:
-        due = (policy.every_events is not None
-               and self._events_handled - self._last_ckpt_event
-               >= policy.every_events)
-        if not due and policy.every_ns is not None:
-            due = (self._clock - self._last_ckpt_clock
-                   >= policy.every_ns)
-        return due
+    def _checkpoint_marks(self, policy: CheckpointPolicy
+                          ) -> tuple[int | float, int | float]:
+        """The handled-event count and the clock at which the next
+        checkpoint is due, counted from the last one (``_NEVER`` for a
+        meter the policy does not use)."""
+        return (
+            _NEVER if policy.every_events is None
+            else self._last_ckpt_event + policy.every_events,
+            _NEVER if policy.every_ns is None
+            else self._last_ckpt_clock + policy.every_ns,
+        )
 
     def _emit_checkpoint(self) -> None:
         # Markers move *before* snapshotting so they are captured inside
@@ -355,7 +407,8 @@ class Kernel:
         job = Job(task=task, jid=event.jid, release_time=self._clock)
         self._live.append(job)
         self._arm_critical_timer(job)
-        self.tracer.emit(self._clock, TraceKind.ARRIVAL, job.name)
+        if self.tracer.enabled:
+            self.tracer.emit(self._clock, TraceKind.ARRIVAL, job.name)
         if self.obs.enabled:
             self.obs.counter("kernel.arrivals")
             self.obs.instant("arrival", "job", task.name, self._clock,
@@ -390,11 +443,8 @@ class Kernel:
         job = event.job
         if job is not self._running or event.token != job.dispatch_token:
             return  # superseded by a preemption/retry/abort
-        if job.segment_remaining() != 0:  # pragma: no cover - defensive
-            raise RuntimeError(
-                f"milestone for {job.name} fired with work remaining"
-            )
-        self._finish_current_segment(job)
+        segment = job.task.segment_at[job.segment_index]
+        self._finish[type(segment)](self, job, segment)
 
     #: Event type -> handler, as plain functions called with the kernel.
     #: Class-level on purpose: a per-instance table of bound methods
@@ -408,43 +458,58 @@ class Kernel:
 
     # ------------------------------------------------------------------
     # Segment lifecycle
+    #
+    # What a segment boundary does depends on the segment's type and the
+    # sync mode only, so each kernel picks its two tables (type -> plain
+    # function, see ``_FINISH``/``_NEXT``) and its access entry once, and
+    # a boundary is one dict lookup instead of an isinstance chain.
+    # ``None`` (past the last segment) is a type here too.
     # ------------------------------------------------------------------
 
-    def _finish_current_segment(self, job: Job) -> None:
-        """The running job completed its current segment at the clock."""
-        segment = job.current_segment
-        sync = self.config.sync
-        if isinstance(segment, ReleaseLock):
-            self._release_segment(job)
-            return
-        if isinstance(segment, ObjectAccess) and sync is SyncMode.LOCK_BASED:
-            self._result.lock_access_commits += 1
-            if not segment.release_at_end:
-                # Nested critical section: keep the lock across later
-                # segments; no unlock request, no scheduling event.
-                job.finish_segment()
-                self._continue_running(job)
-                return
-            # End of critical section: unlock request — a scheduling event.
-            self._release_lock(job, segment.obj)
-            job.finish_segment()
-            cost = self._cost("lock_overhead")
-            self._result.lock_mechanism_time += cost
-            self._reschedule(extra_overhead=cost, lock_event=True)
-            return
-        if isinstance(segment, ObjectAccess) and sync is SyncMode.LOCK_FREE:
-            self._objects.commit(job)
-            self._result.lockfree_access_commits += 1
-            self._result.lockfree_attempts += 1
-            job.finish_segment()
-            if self.tracer.enabled:
-                self.tracer.emit(self._clock, TraceKind.ACCESS_COMMIT,
-                                 job.name, detail=str(segment.obj))
-            self._continue_running(job)
-            return
-        # Compute segment, or an access under SyncMode.NONE.
+    # --- _FINISH: the running job completed ``segment`` at the clock ---
+
+    def _finish_and_continue(self, job: Job, segment) -> None:
+        """A compute segment, an access under ``SyncMode.NONE``, or a
+        :class:`ReleaseLock` outside lock-based sharing (a no-op)."""
         job.finish_segment()
         self._continue_running(job)
+
+    def _finish_past_end(self, job: Job, segment: None) -> None:
+        """A job dispatched after its last segment (its final unlock was
+        a scheduling event) completes at its milestone."""
+        job.finish_segment()
+        self._complete(job)
+
+    def _commit_lockfree_access(self, job: Job,
+                                segment: ObjectAccess) -> None:
+        self._objects.commit(job)
+        self._result.lockfree_access_commits += 1
+        self._result.lockfree_attempts += 1
+        job.finish_segment()
+        if self.tracer.enabled:
+            self.tracer.emit(self._clock, TraceKind.ACCESS_COMMIT,
+                             job.name, detail=str(segment.obj))
+        self._continue_running(job)
+
+    def _end_critical_section(self, job: Job, segment: ObjectAccess) -> None:
+        self._result.lock_access_commits += 1
+        if not segment.release_at_end:
+            # Nested critical section: keep the lock across later
+            # segments; no unlock request, no scheduling event.
+            job.finish_segment()
+            self._continue_running(job)
+            return
+        # End of critical section: unlock request — a scheduling event.
+        self._unlock(job, segment)
+
+    def _unlock(self, job: Job, segment: ObjectAccess | ReleaseLock) -> None:
+        """Release ``segment``'s lock and move past the segment: an
+        unlock request, so a scheduling event (lock-based sharing)."""
+        self._release_lock(job, segment.obj)
+        job.finish_segment()
+        cost = self._cost("lock_overhead")
+        self._result.lock_mechanism_time += cost
+        self._reschedule(extra_overhead=cost, lock_event=True)
 
     def _release_lock(self, job: Job, obj) -> None:
         """Release one lock, waking its waiters."""
@@ -461,70 +526,54 @@ class Kernel:
             self.tracer.emit(self._clock, TraceKind.LOCK_RELEASE, job.name,
                              detail=str(obj))
 
-    def _release_segment(self, job: Job) -> None:
-        """Process a :class:`ReleaseLock` segment reached by the running
-        job.  An unlock request (scheduling event) under lock-based
-        sharing; a no-op otherwise."""
-        segment = job.current_segment
-        if self.config.sync is SyncMode.LOCK_BASED:
-            self._release_lock(job, segment.obj)
-            job.finish_segment()
-            cost = self._cost("lock_overhead")
-            self._result.lock_mechanism_time += cost
-            self._reschedule(extra_overhead=cost, lock_event=True)
-            return
-        job.finish_segment()
-        self._continue_running(job)
+    # --- _NEXT: the running job reached ``segment`` with no pass -------
 
     def _continue_running(self, job: Job) -> None:
         """Advance the running job into its next segment (or completion)
         without an intervening scheduling event, unless the segment
         boundary itself is one (completion, lock request, unlock)."""
-        segment = job.current_segment
-        if segment is None:
-            self._complete(job)
-            return
-        sync = self.config.sync
-        if isinstance(segment, ReleaseLock):
-            self._release_segment(job)
-            return
-        if isinstance(segment, ObjectAccess) and sync is SyncMode.LOCK_BASED:
-            # Lock request: a scheduling event.  The job stops here; the
-            # acquisition is attempted during the dispatch walk.
-            if self.tracer.enabled:
-                self.tracer.emit(self._clock, TraceKind.ACCESS_BEGIN,
-                                 job.name, detail=str(segment.obj))
-            cost = self._cost("lock_overhead")
-            self._result.lock_mechanism_time += cost
-            self._reschedule(extra_overhead=cost, lock_event=True)
-            return
-        # Compute segment, SyncMode.NONE access, or lock-free access: keep
-        # running without a scheduler pass.
-        delay = self._enter_segment(job, segment, trace=True)
-        self._running_since = self._clock + delay
-        self._push_milestone(job, segment)
+        segment = job.task.segment_at[job.segment_index]
+        self._next[type(segment)](self, job, segment)
 
-    def _enter_segment(self, job: Job, segment: Segment | None,
-                       trace: bool) -> int:
-        """Prepare the job's current ``segment`` for execution; return
-        extra mechanism delay (CAS attempt cost, retry backoff) to charge
-        before work starts.
+    def _reach_end(self, job: Job, segment: None) -> None:
+        self._complete(job)
 
-        Handles the lock-free begin/retry protocol.  Lock-based entry is
-        handled in the dispatch walk (acquisition) instead.
-        """
-        if (self._injector is not None and segment is not None
-                and job.segment_progress == 0 and job.segment_extra == 0):
-            extra = self._injector.overrun_for(job)
-            if extra:
-                job.segment_extra = extra
-                self.tracer.emit(self._clock, TraceKind.FAULT, job.name,
-                                 detail=f"segment overrun +{extra}")
-        if not isinstance(segment, ObjectAccess):
-            return 0
-        sync = self.config.sync
-        if sync is not SyncMode.LOCK_FREE:
-            return 0
+    def _request_lock(self, job: Job, segment: ObjectAccess) -> None:
+        """Lock request: a scheduling event.  The job stops here; the
+        acquisition is attempted during the dispatch walk."""
+        if self.tracer.enabled:
+            self.tracer.emit(self._clock, TraceKind.ACCESS_BEGIN,
+                             job.name, detail=str(segment.obj))
+        cost = self._cost("lock_overhead")
+        self._result.lock_mechanism_time += cost
+        self._reschedule(extra_overhead=cost, lock_event=True)
+
+    def _keep_running(self, job: Job, segment) -> None:
+        """A compute segment, or an access that needs no lock: keep
+        running without a scheduler pass."""
+        enter = (self._enter_access if type(segment) is ObjectAccess
+                 else Kernel._enter_plain)
+        since = self._clock + enter(self, job, segment, True)
+        self._running_since = since
+        self._queue.push(
+            since + segment.duration + job.segment_extra
+            - job.segment_progress,
+            _MILESTONE, Milestone(job, job.dispatch_token))
+
+    # --- Entry: prepare ``segment`` for execution; return the extra
+    # mechanism delay (CAS attempt cost, retry backoff) before work
+    # starts.  Lock-based entry is the dispatch walk's acquisition. ----
+
+    def _enter_plain(self, job: Job, segment, trace: bool) -> int:
+        if self._injector is not None and segment is not None:
+            self._inject_overrun(job)
+        return 0
+
+    def _enter_lockfree_access(self, job: Job, segment: ObjectAccess,
+                               trace: bool) -> int:
+        """The lock-free begin/retry protocol."""
+        if self._injector is not None:
+            self._inject_overrun(job)
         if self._objects.open_access_of(job) is None:
             self._objects.begin(job, segment)
             if trace and self.tracer.enabled:
@@ -554,6 +603,43 @@ class Kernel:
                     cost += backoff
             return cost
         return 0
+
+    def _inject_overrun(self, job: Job) -> None:
+        """Apply the fault plan's overrun to a segment the job enters
+        fresh (no progress, no overrun yet)."""
+        if job.segment_progress == 0 and job.segment_extra == 0:
+            extra = self._injector.overrun_for(job)
+            if extra:
+                job.segment_extra = extra
+                self.tracer.emit(self._clock, TraceKind.FAULT, job.name,
+                                 detail=f"segment overrun +{extra}")
+
+    #: Per sync mode: segment type -> boundary function.  Class-level
+    #: tables of plain functions, like ``_HANDLERS``.
+    _FINISH_ANY = {Compute: _finish_and_continue,
+                   ObjectAccess: _finish_and_continue,
+                   ReleaseLock: _finish_and_continue,
+                   type(None): _finish_past_end}
+    _FINISH = {
+        SyncMode.NONE: _FINISH_ANY,
+        SyncMode.LOCK_FREE: {**_FINISH_ANY,
+                             ObjectAccess: _commit_lockfree_access},
+        SyncMode.LOCK_BASED: {**_FINISH_ANY,
+                              ObjectAccess: _end_critical_section,
+                              ReleaseLock: _unlock},
+    }
+    _NEXT_ANY = {Compute: _keep_running,
+                 ObjectAccess: _keep_running,
+                 ReleaseLock: _finish_and_continue,
+                 type(None): _reach_end}
+    _NEXT = {
+        SyncMode.NONE: _NEXT_ANY,
+        SyncMode.LOCK_FREE: _NEXT_ANY,
+        SyncMode.LOCK_BASED: {**_NEXT_ANY,
+                              ObjectAccess: _request_lock,
+                              ReleaseLock: _unlock},
+    }
+    del _FINISH_ANY, _NEXT_ANY
 
     def _note_retry_obs(self, job: Job, obj, wasted: int) -> None:
         """Per-object retry counter track, wasted-work histogram, and
@@ -605,12 +691,14 @@ class Kernel:
         cost = extra_overhead
         passes = 0
         chosen: Job | None = None
+        blocked_any = False
         n = 0
         obs = self.obs
-        policy = self.config.policy
-        pass_cost = self._pass_cost
+        config = self.config
+        policy = config.policy
         result = self._result
-        lock_view = self._lock_view()
+        lock_based = config.sync is SyncMode.LOCK_BASED
+        lock_view = self._locks if lock_based else None
         wall_start = obs.clock() if obs.enabled else 0
         while True:
             # The live set is maintained incrementally (arrival append,
@@ -618,7 +706,8 @@ class Kernel:
             # former re-filtering scan.
             live = self._live
             n = len(live)
-            cost += pass_cost(n)
+            pass_cost = self._pass_cost(n)
+            cost += pass_cost
             result.scheduler_invocations += 1
             passes += 1
             order = policy.schedule(live, lock_view, now)
@@ -633,18 +722,27 @@ class Kernel:
                         cost += (self._cost("timer_overhead")
                                  + victim.task.abort_handler_time)
                 continue
-            chosen, blocked_any, walk_cost = self._walk(order, n, now)
-            cost += walk_cost
+            if lock_based:
+                chosen, blocked_any, walk_cost = self._walk(order, n, now)
+                cost += walk_cost
+            else:
+                # No lock to acquire: the first READY or RUNNING job.
+                chosen = None
+                for job in order:
+                    state = job.state
+                    if state is _READY or state is _RUNNING:
+                        chosen = job
+                        break
             # Bounded-retry graceful degradation: a job whose lock-free
             # access would retry past the guard's budget is aborted via
             # the Section 3.5 abortion model (handler charged, zero
             # utility) instead of spinning, and the pass reruns.
             if (chosen is not None
-                    and self.config.retry_guard is not None
-                    and self.config.sync is SyncMode.LOCK_FREE
+                    and config.retry_guard is not None
+                    and config.sync is SyncMode.LOCK_FREE
                     and self._objects.open_access_of(chosen) is not None
                     and self._objects.must_retry(chosen)
-                    and self.config.retry_guard.exhausted(
+                    and config.retry_guard.exhausted(
                         self._objects.retries_of(chosen))):
                 self.tracer.emit(now, TraceKind.FAULT, chosen.name,
                                  detail="retry budget exhausted: aborting")
@@ -658,12 +756,10 @@ class Kernel:
             # pass so detection sees the new blocked_on edges.  Bounded:
             # each rerun either aborts a victim or blocks new jobs.
             if (chosen is None and blocked_any
-                    and self.config.sync is SyncMode.LOCK_BASED
                     and passes <= len(live) + 1):
                 continue
             break
-        if (self._monitors is not None
-                and self.config.sync is SyncMode.LOCK_BASED):
+        if self._monitors is not None and lock_based:
             self._monitors.audit_locks(
                 now, list(self._live), self._locks)
         if self.tracer.enabled:
@@ -677,61 +773,54 @@ class Kernel:
                      {"n": n, "passes": passes,
                       "chosen": chosen.name if chosen is not None else ""})
             obs.histogram("sched.ready_queue", n)
-        self._result.scheduler_overhead_time += cost
+        result.scheduler_overhead_time += cost
         if lock_event:
-            self._result.lock_mechanism_time += pass_cost(n)
+            result.lock_mechanism_time += pass_cost
         self._dispatch(chosen, cost)
 
     def _walk(self, order: list[Job], n: int,
               now: int) -> tuple[Job | None, bool, int]:
         """Walk the policy's eligibility order to the first dispatchable
-        job, attempting lock acquisitions along the way.  Returns
-        (chosen, whether any job newly blocked, extra cost charged)."""
+        job, attempting lock acquisitions along the way (lock-based
+        sharing).  Returns (chosen, whether any job newly blocked, extra
+        cost charged)."""
         blocked_any = False
         extra_cost = 0
         for job in order:
-            if not job.is_live or job.state is JobState.BLOCKED:
+            state = job.state
+            if state is not _READY and state is not _RUNNING:
                 continue
-            if self._needs_lock(job):
-                obj = job.current_segment.obj
-                if self._locks.try_acquire(job, obj):
-                    job.holds_lock = obj
-                    job.held_locks.add(obj)
-                    if self.tracer.enabled:
-                        self.tracer.emit(now, TraceKind.LOCK_ACQUIRE,
-                                         job.name, detail=str(obj))
-                    return job, blocked_any, extra_cost
-                job.state = JobState.BLOCKED
-                job.blocked_on = obj
-                job.blockings += 1
-                blocked_any = True
+            # At the entry of an access it has not acquired yet?
+            segment = job.task.segment_at[job.segment_index]
+            if (type(segment) is not ObjectAccess
+                    or segment.obj in self._locks.held_by(job)):
+                return job, blocked_any, extra_cost
+            obj = segment.obj
+            if self._locks.try_acquire(job, obj):
+                job.holds_lock = obj
+                job.held_locks.add(obj)
                 if self.tracer.enabled:
-                    self.tracer.emit(now, TraceKind.BLOCK, job.name,
-                                     detail=str(obj))
-                if self.obs.enabled:
-                    self.obs.counter("kernel.blockings")
-                    self.obs.open_span(("block", job.name),
-                                       f"blocked:{obj}", "lock",
-                                       job.task.name, now)
-                # The failed acquisition re-activates the scheduler.
-                activation = self._pass_cost(n)
-                extra_cost += activation
-                self._result.lock_mechanism_time += activation
-                self._result.scheduler_invocations += 1
-                continue
-            return job, blocked_any, extra_cost
+                    self.tracer.emit(now, TraceKind.LOCK_ACQUIRE,
+                                     job.name, detail=str(obj))
+                return job, blocked_any, extra_cost
+            job.state = JobState.BLOCKED
+            job.blocked_on = obj
+            job.blockings += 1
+            blocked_any = True
+            if self.tracer.enabled:
+                self.tracer.emit(now, TraceKind.BLOCK, job.name,
+                                 detail=str(obj))
+            if self.obs.enabled:
+                self.obs.counter("kernel.blockings")
+                self.obs.open_span(("block", job.name),
+                                   f"blocked:{obj}", "lock",
+                                   job.task.name, now)
+            # The failed acquisition re-activates the scheduler.
+            activation = self._pass_cost(n)
+            extra_cost += activation
+            self._result.lock_mechanism_time += activation
+            self._result.scheduler_invocations += 1
         return None, blocked_any, extra_cost
-
-    def _needs_lock(self, job: Job) -> bool:
-        """True when the job sits at the entry of a lock-based access it
-        has not acquired yet."""
-        if self.config.sync is not SyncMode.LOCK_BASED:
-            return False
-        segment = job.current_segment
-        return (
-            isinstance(segment, ObjectAccess)
-            and segment.obj not in self._locks.held_by(job)
-        )
 
     def _dispatch(self, chosen: Job | None, cost: int) -> None:
         now = self._clock
@@ -752,45 +841,46 @@ class Kernel:
                             previous, self._objects)):
                     self.tracer.emit(now, TraceKind.FAULT, previous.name,
                                      detail="spurious access invalidation")
-            self.tracer.emit(now, TraceKind.PREEMPT, previous.name)
+            if self.tracer.enabled:
+                self.tracer.emit(now, TraceKind.PREEMPT, previous.name)
             if self.obs.enabled:
                 self.obs.counter("kernel.preemptions")
                 self.obs.instant("preempt", "job", previous.task.name, now,
                                  {"job": previous.name})
         # Kernel work is serialized: overhead charged by an earlier pass
         # at this instant (abort handlers, timer service) delays this one.
-        busy_from = max(now, self._kernel_free_at)
+        busy_from = self._kernel_free_at
+        if busy_from < now:
+            busy_from = now
         if chosen is None:
             self._running = None
             self._kernel_free_at = busy_from + cost
-            self.tracer.emit(now, TraceKind.IDLE, "")
+            if self.tracer.enabled:
+                self.tracer.emit(now, TraceKind.IDLE, "")
             return
         start = busy_from + cost
         if switching:
             start += self._cost("context_switch")
         self._kernel_free_at = start
-        segment = chosen.current_segment
-        entry_delay = self._enter_segment(chosen, segment, trace=switching)
+        segment = chosen.task.segment_at[chosen.segment_index]
+        enter = (self._enter_access if type(segment) is ObjectAccess
+                 else Kernel._enter_plain)
+        start += enter(self, chosen, segment, switching)
         chosen.state = JobState.RUNNING
         chosen.dispatch_token += 1
         self._running = chosen
-        self._running_since = start + entry_delay
+        self._running_since = start
         if self.tracer.enabled:
             self.tracer.emit(now, TraceKind.DISPATCH, chosen.name,
-                             detail=f"start={self._running_since}")
-        self._push_milestone(chosen, segment)
-
-    def _push_milestone(self, job: Job, segment: Segment | None) -> None:
-        """Queue the instant the job finishes ``segment``, its current
-        one (``Job.segment_remaining`` without re-reading it).  A job
-        dispatched past its last segment (its final unlock was a
-        scheduling event) reaches its milestone at once."""
-        when = self._running_since
+                             detail=f"start={start}")
+        # The milestone: the instant the job finishes its current
+        # segment.  A job dispatched past its last segment (its final
+        # unlock was a scheduling event) reaches it at once.
         if segment is not None:
-            when += (segment.duration + job.segment_extra
-                     - job.segment_progress)
-        self._queue.push(when, EventPriority.MILESTONE,
-                         Milestone(job=job, token=job.dispatch_token))
+            start += (segment.duration + chosen.segment_extra
+                      - chosen.segment_progress)
+        self._queue.push(start, _MILESTONE,
+                         Milestone(chosen, chosen.dispatch_token))
 
     # ------------------------------------------------------------------
     # Job termination
@@ -847,27 +937,8 @@ class Kernel:
                              {"job": job.name})
 
     # ------------------------------------------------------------------
-    # Execution accounting
+    # Cost accounting
     # ------------------------------------------------------------------
-
-    def _advance_running_to(self, time: int) -> None:
-        job = self._running
-        if job is None:
-            return
-        if time <= self._running_since:
-            return
-        amount = min(time - self._running_since, job.segment_remaining())
-        if amount > 0:
-            job.advance(amount)
-            if self._monitors is not None:
-                self._monitors.note_execution(
-                    job, self._running_since, self._running_since + amount)
-            if self.obs.enabled:
-                self.obs.span("exec", "cpu", job.task.name,
-                              self._running_since, amount,
-                              {"job": job.name,
-                               "segment": job.segment_index})
-        self._running_since = time
 
     def _pass_cost(self, n: int) -> int:
         """The policy's simulated cost of one pass over ``n`` live jobs,
@@ -884,8 +955,3 @@ class Kernel:
         if self._injector is not None:
             return self._injector.cost(name, base)
         return base
-
-    def _lock_view(self) -> LockManager | None:
-        if self.config.sync is SyncMode.LOCK_BASED:
-            return self._locks
-        return None

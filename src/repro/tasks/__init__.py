@@ -7,27 +7,14 @@ sequence of *segments* — pure computation and shared-object accesses.  A
 (Section 2 of the paper).
 """
 
-from repro.tasks.segments import Compute, ObjectAccess, Segment
-from repro.tasks.task import TaskSpec
-from repro.tasks.job import Job, JobState
-from repro.tasks.taskset import (
-    approximate_load,
-    make_task,
-    random_taskset,
-    scale_to_load,
-    total_access_time,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Segment",
-    "Compute",
-    "ObjectAccess",
-    "TaskSpec",
-    "Job",
-    "JobState",
-    "make_task",
-    "random_taskset",
-    "approximate_load",
-    "scale_to_load",
-    "total_access_time",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.tasks.segments": ("Compute", "ObjectAccess", "Segment"),
+    "repro.tasks.task": ("TaskSpec",),
+    "repro.tasks.job": ("Job", "JobState"),
+    "repro.tasks.taskset": (
+        "approximate_load", "make_task", "random_taskset", "scale_to_load",
+        "total_access_time",
+    ),
+})

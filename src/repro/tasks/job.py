@@ -79,6 +79,9 @@ class Job:
 
     @property
     def current_segment(self) -> Segment | None:
+        """The segment the job is in, or None past its last one.  Hot
+        paths read ``job.task.segment_at[job.segment_index]`` inline
+        instead."""
         if self.segment_index >= len(self.task.body):
             return None
         return self.task.body[self.segment_index]
@@ -112,7 +115,7 @@ class Job:
         """
         if amount < 0:
             raise ValueError("cannot advance by a negative amount")
-        segment = self.current_segment
+        segment = self.task.segment_at[self.segment_index]
         if segment is None:
             raise RuntimeError(f"{self.name}: advancing a finished job")
         if self.segment_progress + amount > segment.duration + self.segment_extra:
@@ -124,17 +127,21 @@ class Job:
         self.segment_progress += amount
 
     def segment_remaining(self) -> int:
-        segment = self.current_segment
+        segment = self.task.segment_at[self.segment_index]
         if segment is None:
             return 0
         return segment.duration + self.segment_extra - self.segment_progress
 
     def finish_segment(self) -> None:
-        """Move past the current segment."""
-        if self.segment_remaining() != 0:
+        """Move past the current segment.  A job dispatched after its
+        last segment (its final unlock was a scheduling event) calls
+        this once more before it completes."""
+        segment = self.task.segment_at[self.segment_index]
+        if (segment is not None and self.segment_progress
+                != segment.duration + self.segment_extra):
             raise RuntimeError(
                 f"{self.name}: finishing an incomplete segment "
-                f"({self.segment_progress}/{self.current_segment.duration})"
+                f"({self.segment_progress}/{segment.duration})"
             )
         self.segment_index += 1
         self.segment_progress = 0

@@ -10,43 +10,17 @@ Times are *relative to job release* and measured in integer simulated
 time ticks (ns), the time base used across the whole package.
 """
 
-from repro.tuf.base import TimeUtilityFunction, check_tuf_wellformed
-from repro.tuf.shapes import (
-    CompositeMaxTUF,
-    LinearDecreasingTUF,
-    ParabolicTUF,
-    PiecewiseLinearTUF,
-    RampUpTUF,
-    ScaledTUF,
-    StepTUF,
-    TableTUF,
-)
-from repro.tuf.catalog import (
-    awacs_association_tuf,
-    missile_intercept_tuf,
-    awacs_plot_correlation_tuf,
-    awacs_track_maintenance_tuf,
-    coastal_surveillance_tuf,
-    heterogeneous_tuf_mix,
-    step_tuf_mix,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TimeUtilityFunction",
-    "check_tuf_wellformed",
-    "StepTUF",
-    "LinearDecreasingTUF",
-    "ParabolicTUF",
-    "PiecewiseLinearTUF",
-    "RampUpTUF",
-    "TableTUF",
-    "ScaledTUF",
-    "CompositeMaxTUF",
-    "awacs_association_tuf",
-    "missile_intercept_tuf",
-    "awacs_plot_correlation_tuf",
-    "awacs_track_maintenance_tuf",
-    "coastal_surveillance_tuf",
-    "heterogeneous_tuf_mix",
-    "step_tuf_mix",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.tuf.base": ("TimeUtilityFunction", "check_tuf_wellformed"),
+    "repro.tuf.shapes": (
+        "CompositeMaxTUF", "LinearDecreasingTUF", "ParabolicTUF",
+        "PiecewiseLinearTUF", "RampUpTUF", "ScaledTUF", "StepTUF", "TableTUF",
+    ),
+    "repro.tuf.catalog": (
+        "awacs_association_tuf", "missile_intercept_tuf",
+        "awacs_plot_correlation_tuf", "awacs_track_maintenance_tuf",
+        "coastal_surveillance_tuf", "heterogeneous_tuf_mix", "step_tuf_mix",
+    ),
+})

@@ -13,13 +13,17 @@ Two hard promises from DESIGN.md §10:
   artifacts across runs; wall-clock readings never enter them.
 """
 
+import dataclasses
 import json
 import os
 import random
 import sys
 import time
 
+import pytest
+
 import repro.obs
+from repro.api import quick_scenario, simulate
 from repro.experiments.runner import run_once
 from repro.experiments.workloads import paper_taskset
 from repro.obs import NULL_OBSERVER, Observer
@@ -112,3 +116,25 @@ class TestTraceDeterminism:
         assert snapshot(plain) == snapshot(observed)
         assert plain.scheduler_overhead_time == \
             observed.scheduler_overhead_time
+
+    @pytest.mark.parametrize("sync", ["lockfree", "lockbased"])
+    def test_every_instrumented_setting_simulates_identically(self, sync):
+        # Monitors and an observer see each execution slice through
+        # guarded hooks in the run loop, and tracing adds the trace
+        # emits; none may change what is simulated.
+        base = quick_scenario(n_tasks=5, n_objects=3, sync=sync, load=1.1,
+                              horizon_us=60_000, seed=SEED)
+        plain = simulate(base).result
+        both = dataclasses.replace(base, monitors=True, trace=True)
+        variants = {
+            "monitors": simulate(dataclasses.replace(base, monitors=True)),
+            "observer": simulate(base, observer=Observer()),
+            "trace": simulate(dataclasses.replace(base, trace=True)),
+            "all": simulate(both, observer=Observer()),
+        }
+        assert len(plain.records) > 50
+        for name, summary in variants.items():
+            result = summary.result
+            assert result.records == plain.records, name
+            assert (result.scheduler_overhead_time
+                    == plain.scheduler_overhead_time), name
