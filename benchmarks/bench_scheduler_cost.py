@@ -7,8 +7,8 @@ counts, demonstrating the asymptotic gap the paper attributes to the
 pytest-benchmark timing target, unlike the campaign benches.
 
 Every timed call uses a fresh ``now`` so each pass is a distinct
-scheduling event: at one instant the schedule-repair cache would replay
-the previous pass's decisions instead of running the algorithm.
+scheduling event, as consecutive passes of a simulation are: PUDs and
+feasibility are evaluated at a moving clock.
 ``test_fastpath_speedup`` additionally gates the incremental fast path
 itself: the same pass with ``REPRO_NO_FASTPATH=1`` (the from-scratch
 reference construction) must be at least 3x slower at n >= 64.

@@ -13,8 +13,9 @@ The jobs are one invocation of each task of the ``paper`` task set
 lock-based sharing every job stands at its first object access; the
 first half hold their object where it is free and the rest wait, so
 from n = 16 on the pass builds real two-job dependency chains.  Every
-timed pass gets a distinct ``now``, so the schedule-repair cache cannot
-replay a previous pass.  A point is the best of several trials of many
+timed pass gets a distinct ``now``, as consecutive passes of a
+simulation do, so each one evaluates its PUDs and feasibility at its
+own clock.  A point is the best of several trials of many
 passes, each trial scaled by the host speed measured right after it
 (``perfbench/calibrate.py``), since a shared host can slow down for
 longer than a whole point takes.

@@ -26,8 +26,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "repro.core.pud": ("chain_pud", "completion_estimates"),
     "repro.core.feasibility": ("is_feasible",),
-    "repro.core.schedule_builder": ("build_rua_schedule", "insert_chain"),
-    "repro.core.schedule_cache": ("ScheduleCache", "build_singleton_schedule"),
+    "repro.core.schedule_builder": (
+        "build_rua_schedule", "build_singleton_schedule", "insert_chain",
+    ),
     "repro.core.deadlock": ("detect_deadlock", "pick_deadlock_victim"),
     "repro.core.rua_lockbased": ("LockBasedRUA",),
     "repro.core.rua_lockfree": ("LockFreeRUA",),

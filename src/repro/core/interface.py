@@ -35,10 +35,11 @@ from repro.tasks.job import Job
 def fastpath_enabled() -> bool:
     """True unless ``REPRO_NO_FASTPATH`` is set (to anything non-empty).
 
-    The reference path recomputes every scheduling pass from scratch; the
-    fast path short-circuits and repairs.  Policies read it once, at
-    construction (``SchedulerPolicy.fast``).  Both produce
-    identical results by construction — the equivalence suite
+    The reference path runs the general Section 3.4 construction on every
+    pass; the fast path short-circuits empty passes and specializes
+    singleton chains.  Policies read it once, at construction
+    (``SchedulerPolicy.fast``).  Both produce identical results by
+    construction — the equivalence suite
     (``tests/core/test_fastpath_equivalence.py``) pins it.
     """
     return not os.environ.get("REPRO_NO_FASTPATH")
@@ -112,22 +113,14 @@ class SchedulerPolicy(ABC):
     def _validate(self, jobs: list[Job], locks: LockManager | None) -> None:
         """Input validation hook; runs before any fast-path shortcut."""
 
-    def reset_caches(self) -> None:
-        """Drop every cached scheduling artifact.
+    def clear_abort_requests(self) -> None:
+        """Drop pending abort requests.
 
-        Called on checkpoint restore: restored jobs are new objects, so
-        a subclass's prefix-replay
-        :class:`~repro.core.schedule_cache.ScheduleCache` must never
-        replay a pass from before the snapshot (nor keep the pre-restore
-        jobs alive in its per-job table).  Caches are
-        performance-only (the fast-path equivalence gate guarantees
-        identical decisions without them), so dropping them cannot change
-        any schedule.
+        Called on checkpoint restore: the restored jobs are new objects,
+        so a victim requested before the snapshot must never reach the
+        restored kernel.  Policies keep no other state between passes.
         """
         self._deadlock_victims = []
-        cache = getattr(self, "_schedule_cache", None)
-        if cache is not None:
-            cache.invalidate()
 
     def _emit_counters(self, result: PassResult) -> None:
         """Deterministic per-pass counters, identical on the computed and

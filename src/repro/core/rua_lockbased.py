@@ -18,8 +18,8 @@ On the fast path, a pass first scans for dependency edges.  With none
 (the common case: no job waits for a held object) there can be no cycle
 and every chain is a singleton, so Steps 1 and 3 are skipped outright.
 Step 5 then runs through one of two result-identical constructions:
-when every chain is a singleton the copy-free specialization with
-cross-pass repair (:mod:`repro.core.schedule_cache`); otherwise the
+when every chain is a singleton the copy-free specialization
+(:func:`repro.core.schedule_builder.singleton_pass`); otherwise the
 copying Section 3.4 reference.  Under ``REPRO_NO_FASTPATH`` every pass
 takes the reference, with no edge scan.
 """
@@ -30,8 +30,7 @@ from repro.core.deadlock import detect_deadlock, pick_deadlock_victim
 from repro.core.dependency import all_dependency_chains, blocking_owner
 from repro.core.interface import PassResult, SchedulerPolicy
 from repro.core.pud import chain_pud
-from repro.core.schedule_builder import build_rua_schedule
-from repro.core.schedule_cache import ScheduleCache, singleton_pass
+from repro.core.schedule_builder import build_rua_schedule, singleton_pass
 from repro.sim.locks import LockManager
 from repro.sim.overheads import CostModel, default_lockbased_rua_cost
 from repro.tasks.job import Job
@@ -49,7 +48,6 @@ class LockBasedRUA(SchedulerPolicy):
         super().__init__()
         self.cost_model = cost_model or default_lockbased_rua_cost()
         self.detect_deadlocks = detect_deadlocks
-        self._schedule_cache = ScheduleCache()
 
     def _compute(self, jobs: list[Job], locks: LockManager | None,
                  now: int) -> PassResult:
@@ -59,9 +57,7 @@ class LockBasedRUA(SchedulerPolicy):
             # No dependency edge (with no lock held, none can exist): no
             # cycle to detect and every chain is the job itself (length
             # 1), exactly what Steps 1 and 3 would find.
-            return singleton_pass(jobs, now, self._schedule_cache,
-                                  self.obs,
-                                  chain_len_max=1 if jobs else 0)
+            return singleton_pass(jobs, now, chain_len_max=1 if jobs else 0)
         candidates = list(jobs)
         victims: set[Job] = set()
         # Step 3 first in implementation order: resolving a deadlock
@@ -97,8 +93,7 @@ class LockBasedRUA(SchedulerPolicy):
                     singleton = False
         if fast and singleton:
             # Victims removed, only singleton chains remain.
-            return singleton_pass(candidates, now, self._schedule_cache,
-                                  self.obs, victims=len(victims),
+            return singleton_pass(candidates, now, victims=len(victims),
                                   chain_len_max=chain_len_max)
         puds = {job: chain_pud(chains[job], now) for job in candidates}
         # Step 4: non-increasing PUD; deterministic tie-breaks (earlier

@@ -8,18 +8,18 @@ paper's headline cost reduction from ``O(n^2 log n)`` to ``O(n^2)``.
 
 The construction is otherwise identical: non-increasing PUD examination,
 ECF insertion, feasibility testing with rejection.  On the fast path the
-singleton-chain specialization (:mod:`repro.core.schedule_cache`) runs the
-construction copy-free with cross-pass prefix repair; under
-``REPRO_NO_FASTPATH`` the reference Section 3.4 builder runs instead —
-the two are result-identical by construction and by test.
+singleton-chain specialization
+(:func:`repro.core.schedule_builder.singleton_pass`) runs the
+construction copy-free; under ``REPRO_NO_FASTPATH`` the reference
+Section 3.4 builder runs instead — the two are result-identical by
+construction and by test.
 """
 
 from __future__ import annotations
 
 from repro.core.interface import PassResult, SchedulerPolicy
 from repro.core.pud import chain_pud
-from repro.core.schedule_builder import build_rua_schedule
-from repro.core.schedule_cache import ScheduleCache, singleton_pass
+from repro.core.schedule_builder import build_rua_schedule, singleton_pass
 from repro.sim.locks import LockManager
 from repro.sim.overheads import CostModel, default_lockfree_rua_cost
 from repro.tasks.job import Job
@@ -34,7 +34,6 @@ class LockFreeRUA(SchedulerPolicy):
     def __init__(self, cost_model: CostModel | None = None) -> None:
         super().__init__()
         self.cost_model = cost_model or default_lockfree_rua_cost()
-        self._schedule_cache = ScheduleCache()
 
     def _validate(self, jobs: list[Job],
                   locks: LockManager | None) -> None:
@@ -47,7 +46,7 @@ class LockFreeRUA(SchedulerPolicy):
     def _compute(self, jobs: list[Job], locks: LockManager | None,
                  now: int) -> PassResult:
         if self.fast:
-            return singleton_pass(jobs, now, self._schedule_cache, self.obs)
+            return singleton_pass(jobs, now)
         chains = {job: [job] for job in jobs}
         puds = {job: chain_pud(chains[job], now) for job in jobs}
         pud_order = sorted(

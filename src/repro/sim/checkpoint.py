@@ -16,9 +16,10 @@ fast path: ``restore(config, snapshot).run()`` finishes to a
 and without ``REPRO_NO_FASTPATH=1``.  Two deliberate properties make
 that hold:
 
-* restored jobs are new objects, and every scheduling-pass cache is
-  explicitly dropped via ``SchedulerPolicy.reset_caches()``, so a
-  restored kernel can never replay a stale cached decision;
+* restored jobs are new objects, and the policy keeps no state
+  between passes beyond pending abort requests, which are dropped via
+  ``SchedulerPolicy.clear_abort_requests()``, so a restored kernel
+  decides from restored state alone;
 * the observer is **not** checkpointed — observation is a side channel
   that must not perturb the simulation (DESIGN.md §10), so a resumed
   run's obs summary covers only the post-restore suffix.
@@ -598,8 +599,8 @@ def restore_kernel(config: "SimulationConfig",
             for doc in state["trace"]
         ]
 
-    # A restored kernel must never replay a decision cached before the
-    # snapshot: the restored jobs are new objects.
-    config.policy.reset_caches()
+    # An abort requested before the snapshot names a pre-restore job,
+    # not one of the restored objects.
+    config.policy.clear_abort_requests()
     kernel._restored = True
     return kernel

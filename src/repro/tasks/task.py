@@ -40,6 +40,10 @@ class TaskSpec:
     #: compute a job's remaining demand in O(1) instead of walking the
     #: segment tail on every PUD / feasibility evaluation.
     body_suffix: tuple[int, ...] = field(init=False, repr=False)
+    #: ``durations[i]`` = ``body[i].duration``, with 0 at ``len(body)``
+    #: (past the last segment), the other table the scheduler hot path
+    #: reads a job's remaining demand from.
+    durations: tuple[int, ...] = field(init=False, repr=False)
     #: ``segment_at[i]`` = ``body[i]``, with ``None`` at ``len(body)``
     #: (past the last segment): a job's current segment is
     #: ``task.segment_at[job.segment_index]``, with no bounds test and
@@ -67,6 +71,8 @@ class TaskSpec:
         for i in range(len(self.body) - 1, -1, -1):
             suffix[i] = suffix[i + 1] + self.body[i].duration
         object.__setattr__(self, "body_suffix", tuple(suffix))
+        object.__setattr__(self, "durations",
+                           (*(segment.duration for segment in self.body), 0))
         object.__setattr__(self, "segment_at", (*self.body, None))
 
     @property

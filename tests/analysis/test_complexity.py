@@ -45,9 +45,8 @@ class TestModels:
             jobs = [Job(task=t, jid=0, release_time=0) for t in tasks]
             policy = LockBasedRUA()
             start = time.perf_counter()
-            # Vary the clock so each call is a distinct pass (at one
-            # instant the schedule-repair cache would replay the previous
-            # pass's decisions instead of running the algorithm).
+            # Vary the clock so each call is a distinct pass, as
+            # consecutive passes of a simulation are.
             for tick in range(20):
                 policy.schedule(jobs, None, now=tick)
             return time.perf_counter() - start

@@ -4,9 +4,9 @@ At a fixed seed, running with the fast path on versus with
 ``REPRO_NO_FASTPATH=1`` (the from-scratch reference path) must produce
 identical observable output: job records, scheduler/mechanism overhead
 accounting, AUR/CMR, and the deterministic ``sched.*`` observability
-counters.  Only the fast path's own meta-counters (skip and repair
-bookkeeping) may differ — they exist only when it is on, and are
-excluded from the comparison.
+counters.  Only the fast path's own meta-counter (empty-pass skips)
+may differ — it exists only when the fast path is on, and is excluded
+from the comparison.
 """
 
 from dataclasses import replace
@@ -18,7 +18,7 @@ from repro.obs import Observer
 
 #: Counters that exist only to report what the fast path did; everything
 #: else must match the reference path exactly.
-FASTPATH_META_PREFIXES = ("sched.pass.skipped", "sched.repair.")
+FASTPATH_META_PREFIXES = ("sched.pass.skipped",)
 
 SEEDS = range(50)
 
