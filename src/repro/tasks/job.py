@@ -96,15 +96,14 @@ class Job:
         """Remaining nominal execution demand, as presented to the
         scheduler (intrinsic durations; mechanism costs are runtime
         phenomena the scheduler cannot predict)."""
-        body = self.task.body
         index = self.segment_index
-        if index >= len(body):
-            return 0
         # Clamped at zero: with an injected overrun the progress can
         # legitimately exceed the declared duration — the scheduler still
         # sees the *declared* demand, which is the point of the fault.
+        # Past the last segment both tables read 0.
         tail = self.task.body_suffix[index]
-        return max(tail - self.segment_progress, tail - body[index].duration)
+        return max(tail - self.segment_progress,
+                   tail - self.task.durations[index])
 
     def advance(self, amount: int) -> None:
         """Credit ``amount`` ticks of execution to the current segment.

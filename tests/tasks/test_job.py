@@ -82,6 +82,14 @@ class TestProgress:
         assert job.remaining_time() == 120
         assert job.segment_remaining() == 40
 
+    def test_overrun_is_clamped_to_declared_demand(self):
+        job = _job()
+        job.segment_extra = 40
+        job.advance(130)
+        # 30 ticks past the declared 100: the scheduler still sees the
+        # 80 ticks declared for the later segments, never less.
+        assert job.remaining_time() == 80
+
     def test_advance_cannot_cross_segment_boundary(self):
         job = _job()
         with pytest.raises(RuntimeError, match="overruns"):
