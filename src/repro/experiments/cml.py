@@ -85,23 +85,29 @@ def measure_cml(build_tasks: LoadedTasksetBuilder, sync: str, horizon: int,
     whose overhead swamps the workload), or ``high`` if nothing misses in
     range.  ``campaign`` routes each probe's seeded trials through the
     resilient engine (the builder must then be picklable, e.g. a
-    :class:`repro.experiments.workloads.LoadedBuilderSpec`).
+    :class:`repro.experiments.workloads.LoadedBuilderSpec`).  An engine
+    built here from a config is closed before returning; a passed engine
+    stays the caller's.
     """
     from repro.campaign import as_engine
 
     engine = as_engine(campaign, tag=f"cml:{sync}")
-    if not _clean_at(build_tasks, sync, horizon, low, seeds, tolerance,
+    try:
+        if not _clean_at(build_tasks, sync, horizon, low, seeds, tolerance,
+                         arrival_style, engine):
+            return low
+        if _clean_at(build_tasks, sync, horizon, high, seeds, tolerance,
                      arrival_style, engine):
-        return low
-    if _clean_at(build_tasks, sync, horizon, high, seeds, tolerance,
-                 arrival_style, engine):
-        return high
-    lo, hi = low, high
-    for _ in range(iterations):
-        mid = (lo + hi) / 2.0
-        if _clean_at(build_tasks, sync, horizon, mid, seeds, tolerance,
-                     arrival_style, engine):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+            return high
+        lo, hi = low, high
+        for _ in range(iterations):
+            mid = (lo + hi) / 2.0
+            if _clean_at(build_tasks, sync, horizon, mid, seeds, tolerance,
+                         arrival_style, engine):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+    finally:
+        if engine is not None and engine is not campaign:
+            engine.close()

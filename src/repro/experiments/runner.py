@@ -100,7 +100,8 @@ def run_many(build_tasks: TasksetBuilder, sync: str, horizon: int,
     resilient engine instead: parallel workers, per-trial timeouts,
     retry with backoff, journaling.  Failed trials are *dropped* from
     the returned list (graceful degradation); consult the engine's
-    ``stats()`` for failure counts.
+    ``stats()`` for failure counts.  An engine built here from a config
+    is closed before returning; a passed engine stays the caller's.
     """
     engine = as_engine(campaign, tag=f"run_many:{sync}")
     if engine is None:
@@ -117,4 +118,8 @@ def run_many(build_tasks: TasksetBuilder, sync: str, horizon: int,
                           ("retry_policy", retry_policy)))
         for k, seed in enumerate(seeds)
     ]
-    return engine.run(specs).values
+    try:
+        return engine.run(specs).values
+    finally:
+        if engine is not campaign:
+            engine.close()

@@ -62,8 +62,9 @@ __all__ = [
 #: Format generation of the checkpoint wire encoding.  Bumped on any
 #: incompatible change; restore refuses other generations outright
 #: (recomputing from zero is always safe, resuming across formats never
-#: is).
-CHECKPOINT_VERSION = 1
+#: is).  v2 stores jobs, queued events and result records as
+#: fixed-order rows instead of keyed objects.
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -213,98 +214,82 @@ def fingerprint_result(result: SimulationResult) -> str:
 # stored as-is — but never as dict *keys* (JSON keys are strings);
 # every ObjectId-keyed table is a list of ``[obj, value]`` pairs in
 # insertion order, which also preserves dict iteration order exactly.
+#
+# Jobs, queued event payloads and result records are fixed-order rows
+# (lists), not keyed objects: a checkpoint holds hundreds of them, and
+# repeated key names would be most of its bytes and of its encode time.
+# A job row follows ``Job``'s field order with the task replaced by its
+# index; a record row follows ``JobRecord``'s; an event row starts with
+# its kind: ``["arrival", task_index, jid, injected, deferrals]``,
+# ``["expiry", job]`` or ``["milestone", job, token]``.
 
 
 def _sorted_objs(objs) -> list:
     return sorted(objs, key=lambda obj: (isinstance(obj, str), obj))
 
 
-def _encode_record(record: JobRecord) -> dict[str, Any]:
-    return {
-        "task_name": record.task_name,
-        "jid": record.jid,
-        "release_time": record.release_time,
-        "completion_time": record.completion_time,
-        "accrued_utility": record.accrued_utility,
-        "max_utility": record.max_utility,
-        "retries": record.retries,
-        "blockings": record.blockings,
-        "preemptions": record.preemptions,
-        "aborted": record.aborted,
-    }
+def _encode_record(record: JobRecord) -> list:
+    return [record.task_name, record.jid, record.release_time,
+            record.completion_time, record.accrued_utility,
+            record.max_utility, record.retries, record.blockings,
+            record.preemptions, record.aborted]
 
 
-def _decode_record(doc: dict[str, Any]) -> JobRecord:
-    return JobRecord(**doc)
+def _decode_record(row: list) -> JobRecord:
+    return JobRecord(*row)
 
 
-def _encode_job(job: Job, task_index: int) -> dict[str, Any]:
-    return {
-        "task_index": task_index,
-        "jid": job.jid,
-        "release_time": job.release_time,
-        "state": job.state.value,
-        "segment_index": job.segment_index,
-        "segment_progress": job.segment_progress,
-        "holds_lock": job.holds_lock,
-        "held_locks": _sorted_objs(job.held_locks),
-        "blocked_on": job.blocked_on,
-        "access_dirty": job.access_dirty,
-        "segment_extra": job.segment_extra,
-        "retries": job.retries,
-        "blockings": job.blockings,
-        "preemptions": job.preemptions,
-        "completion_time": job.completion_time,
-        "accrued_utility": job.accrued_utility,
-        "dispatch_token": job.dispatch_token,
-    }
+def _encode_job(job: Job, task_index: int) -> list:
+    return [task_index, job.jid, job.release_time, job.state.value,
+            job.segment_index, job.segment_progress, job.holds_lock,
+            _sorted_objs(job.held_locks), job.blocked_on, job.access_dirty,
+            job.segment_extra, job.retries, job.blockings, job.preemptions,
+            job.completion_time, job.accrued_utility, job.dispatch_token]
 
 
-def _decode_job(doc: dict[str, Any], tasks) -> Job:
+def _decode_job(row: list, tasks) -> Job:
     # ``name`` and ``critical_time_abs`` are derived from the task, jid
-    # and release time, so they come back as they were.
-    job = Job(task=tasks[doc["task_index"]], jid=doc["jid"],
-              release_time=doc["release_time"])
-    job.state = JobState(doc["state"])
-    job.segment_index = doc["segment_index"]
-    job.segment_progress = doc["segment_progress"]
-    job.holds_lock = doc["holds_lock"]
-    job.held_locks = set(doc["held_locks"])
-    job.blocked_on = doc["blocked_on"]
-    job.access_dirty = doc["access_dirty"]
-    job.segment_extra = doc["segment_extra"]
-    job.retries = doc["retries"]
-    job.blockings = doc["blockings"]
-    job.preemptions = doc["preemptions"]
-    job.completion_time = doc["completion_time"]
-    job.accrued_utility = doc["accrued_utility"]
-    job.dispatch_token = doc["dispatch_token"]
-    return job
+    # and release time, so they come back as they were.  Unpacking
+    # refuses a row of the wrong length.
+    (task_index, jid, release_time, state, segment_index, segment_progress,
+     holds_lock, held_locks, blocked_on, access_dirty, segment_extra,
+     retries, blockings, preemptions, completion_time, accrued_utility,
+     dispatch_token) = row
+    return Job(task=tasks[task_index], jid=jid, release_time=release_time,
+               state=JobState(state), segment_index=segment_index,
+               segment_progress=segment_progress, holds_lock=holds_lock,
+               held_locks=set(held_locks), blocked_on=blocked_on,
+               access_dirty=access_dirty, segment_extra=segment_extra,
+               retries=retries, blockings=blockings,
+               preemptions=preemptions, completion_time=completion_time,
+               accrued_utility=accrued_utility,
+               dispatch_token=dispatch_token)
 
 
-def _encode_event(payload, job_index) -> dict[str, Any]:
-    if isinstance(payload, JobArrival):
-        return {"kind": "arrival", "task_index": payload.task_index,
-                "jid": payload.jid, "injected": payload.injected,
-                "deferrals": payload.deferrals}
-    if isinstance(payload, CriticalTimeExpiry):
-        return {"kind": "expiry", "job": job_index[id(payload.job)]}
-    if isinstance(payload, Milestone):
-        return {"kind": "milestone", "job": job_index[id(payload.job)],
-                "token": payload.token}
+def _encode_event(payload, job_index) -> list:
+    kind = type(payload)
+    if kind is Milestone:
+        return ["milestone", job_index[id(payload.job)], payload.token]
+    if kind is JobArrival:
+        return ["arrival", payload.task_index, payload.jid,
+                payload.injected, payload.deferrals]
+    if kind is CriticalTimeExpiry:
+        return ["expiry", job_index[id(payload.job)]]
     raise CheckpointError(f"unknown event payload {payload!r}")
 
 
-def _decode_event(doc: dict[str, Any], jobs: list[Job]):
-    kind = doc["kind"]
-    if kind == "arrival":
-        return JobArrival(task_index=doc["task_index"], jid=doc["jid"],
-                          injected=doc["injected"],
-                          deferrals=doc["deferrals"])
-    if kind == "expiry":
-        return CriticalTimeExpiry(job=jobs[doc["job"]])
+def _decode_event(row: list, jobs: list[Job]):
+    kind = row[0]
     if kind == "milestone":
-        return Milestone(job=jobs[doc["job"]], token=doc["token"])
+        _, job, token = row
+        return Milestone(job=jobs[job], token=token)
+    if kind == "arrival":
+        _, task_index, jid, injected, deferrals = row
+        return JobArrival(task_index=task_index, jid=jid,
+                          injected=injected, deferrals=deferrals)
+    if kind == "expiry":
+        _, job = row
+        return CriticalTimeExpiry(job=jobs[job])
     raise CheckpointError(f"unknown event kind {kind!r}")
 
 
@@ -328,10 +313,15 @@ def snapshot_kernel(kernel: "Kernel") -> KernelCheckpoint:
             job_index[id(job)] = len(jobs)
             jobs.append(job)
 
-    for entry in kernel._queue._heap:
-        payload = entry[3]
-        if isinstance(payload, (CriticalTimeExpiry, Milestone)):
+    # Heap jobs are indexed in heap order, each before its event row is
+    # encoded, so one pass does both.
+    heap = []
+    for time, priority, sequence, payload in kernel._queue._heap:
+        kind = type(payload)
+        if kind is Milestone or kind is CriticalTimeExpiry:
             _index_job(payload.job)
+        heap.append([time, int(priority), sequence,
+                     _encode_event(payload, job_index)])
     locks = kernel._locks
     for owner in locks._owner.values():
         _index_job(owner)
@@ -360,11 +350,7 @@ def snapshot_kernel(kernel: "Kernel") -> KernelCheckpoint:
         "kernel_free_at": kernel._kernel_free_at,
         "queue": {
             "sequence": kernel._queue._sequence,
-            "heap": [
-                [entry[0], int(entry[1]), entry[2],
-                 _encode_event(entry[3], job_index)]
-                for entry in kernel._queue._heap
-            ],
+            "heap": heap,
         },
         "locks": {
             "owner": [[obj, job_index[id(job)]]

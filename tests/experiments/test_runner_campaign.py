@@ -7,9 +7,14 @@ campaigns interchangeable; these tests pin it against the real
 simulation stack.
 """
 
-from repro.campaign import CampaignConfig
+import threading
+
+import pytest
+
+from repro.campaign import CampaignConfig, CampaignEngine
+from repro.experiments.cml import measure_cml
 from repro.experiments.runner import run_many, simulation_trial
-from repro.experiments.workloads import BuilderSpec
+from repro.experiments.workloads import BuilderSpec, LoadedBuilderSpec
 from repro.units import MS
 
 BUILD = BuilderSpec.make("paper", target_load=0.8)
@@ -59,3 +64,59 @@ class TestSerialParallelParity:
                             campaign=CampaignConfig(workers=2), **kwargs)
         assert [_fingerprint(r) for r in plain] == \
                [_fingerprint(r) for r in parallel]
+
+
+@pytest.fixture
+def built_engines(monkeypatch):
+    """Every CampaignEngine constructed while the test runs."""
+    built = []
+    init = CampaignEngine.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(CampaignEngine, "__init__", recording_init)
+    return built
+
+
+def _metrics_threads():
+    return [t for t in threading.enumerate()
+            if t.name == "repro-metrics" and t.is_alive()]
+
+
+class TestEngineOwnership:
+    """An entry point that builds its engine from a config closes it
+    (journal file and /metrics thread); a passed engine stays open."""
+
+    def _config(self, tmp_path):
+        return CampaignConfig(journal=str(tmp_path / "journal.jsonl"),
+                              metrics_port=0)
+
+    def _assert_closed(self, built):
+        assert len(built) == 1
+        assert built[0]._journal is None
+        assert built[0]._metrics_server is None
+        assert not _metrics_threads()
+
+    def test_run_many_closes_the_engine_it_builds(self, tmp_path,
+                                                  built_engines):
+        run_many(BUILD, "lockfree", HORIZON, SEEDS[:1],
+                 campaign=self._config(tmp_path))
+        self._assert_closed(built_engines)
+
+    def test_measure_cml_closes_the_engine_it_builds(self, tmp_path,
+                                                     built_engines):
+        measure_cml(LoadedBuilderSpec.make("paper"), "lockfree", HORIZON,
+                    SEEDS[:1], iterations=1,
+                    campaign=self._config(tmp_path))
+        self._assert_closed(built_engines)
+
+    def test_a_passed_engine_stays_open(self, tmp_path):
+        with CampaignEngine(self._config(tmp_path), tag="t") as engine:
+            run_many(BUILD, "lockfree", HORIZON, SEEDS[:1], campaign=engine)
+            measure_cml(LoadedBuilderSpec.make("paper"), "lockfree",
+                        HORIZON, SEEDS[:1], iterations=1, campaign=engine)
+            assert engine._journal is not None
+            assert engine._metrics_server is not None
+        assert not _metrics_threads()

@@ -28,7 +28,7 @@ from repro.tuf import StepTUF
 
 SYNCS = ("lockfree", "lockbased")
 EVERY_EVENTS = 37
-PINNED = "b8fa03bab7cc26f7559dbe0cd7ec296cd217990b22ad5bcb21a05eeee6cd936a"
+PINNED = "addcb8075dc580f59eccdc2bd0d1535b79ec3fc6619d74fcbceca5a07aca75ac"
 
 
 def _hand_built(sync: str) -> Scenario:

@@ -1,5 +1,7 @@
 """Tests for job runtime state."""
 
+import json
+
 import pytest
 
 from repro.arrivals import UAMSpec
@@ -64,12 +66,45 @@ class TestIdentityContract:
 
         job = _job()
         job.segment_index = 1
-        doc = _encode_job(job, 0)
-        assert "name" not in doc
-        restored = _decode_job(doc, [job.task])
+        row = _encode_job(job, 0)
+        assert isinstance(row, list)
+        assert job.name not in row
+        restored = _decode_job(row, [job.task])
         assert restored.name == job.name == "T#0"
         assert restored is not job and restored != job
-        assert CHECKPOINT_VERSION == 1
+        assert CHECKPOINT_VERSION == 2
+
+    def test_every_checkpointed_field_round_trips(self):
+        """A non-default value for every init field but the task (the
+        row stores its index) survives encode → JSON → decode.  A Job
+        field missing here, or a row slot added to only the encoder or
+        only the decoder, fails the test."""
+        from dataclasses import fields
+
+        from repro.sim.checkpoint import _decode_job, _encode_job
+
+        values = {
+            "jid": 3, "release_time": 1234, "state": JobState.BLOCKED,
+            "segment_index": 2, "segment_progress": 17, "holds_lock": "L",
+            "held_locks": {0, "L"}, "blocked_on": 1, "access_dirty": True,
+            "segment_extra": 9, "retries": 4, "blockings": 5,
+            "preemptions": 6, "completion_time": 4321,
+            "accrued_utility": 0.5, "dispatch_token": 7,
+        }
+        checkpointed = [f.name for f in fields(Job)
+                        if f.init and f.name != "task"]
+        assert sorted(values) == sorted(checkpointed)
+        default = _job()
+        job = Job(task=default.task, **values)
+        for name in checkpointed:
+            assert getattr(job, name) != getattr(default, name), name
+        row = _encode_job(job, 0)
+        assert len(row) == len(checkpointed) + 1
+        restored = _decode_job(json.loads(json.dumps(row)), [job.task])
+        for name in checkpointed:
+            assert getattr(restored, name) == getattr(job, name), name
+        assert (restored.task, restored.name, restored.critical_time_abs) \
+            == (job.task, job.name, job.critical_time_abs)
 
 
 class TestProgress:
