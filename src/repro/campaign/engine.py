@@ -1,20 +1,23 @@
 """Resilient campaign execution: crash isolation, timeouts, retry, resume.
 
 :class:`CampaignEngine` runs batches of :class:`~repro.campaign.spec.TrialSpec`
-under one :class:`~repro.campaign.spec.CampaignConfig`:
+under one :class:`~repro.campaign.spec.CampaignConfig`.  Every trial
+runs through one :class:`~repro.campaign.pool.WorkerPool` per batch,
+which owns crash isolation, timeouts, failure classification and seeded
+retry (DESIGN.md §9):
 
 * ``workers=1`` — trials run in-process, in trial order.  With no
   journal, no chaos and no retries triggered, this is byte-identical to
   the plain serial loops the experiment modules used before the engine
   existed (same calls, same RNG consumption).
-* ``workers>1`` — trials run in a ``concurrent.futures``
-  ``ProcessPoolExecutor``.  A worker exception, a dead worker process,
-  or a per-trial wall-clock timeout becomes a structured
-  :class:`~repro.campaign.spec.TrialFailure`; retryable kinds re-enter
-  the queue after a seeded exponential backoff.  A broken or stuck pool
-  is killed and rebuilt; trials that were merely collateral (in flight
-  on a pool another trial broke) are re-queued without being charged an
-  attempt.
+* ``workers>1`` — ``workers`` threads each drive one trial at a time
+  through the pool's worker processes.  A worker exception, a dead
+  worker process, or a per-trial wall-clock timeout becomes a
+  structured :class:`~repro.campaign.spec.TrialFailure`; retryable
+  kinds run again after a seeded exponential backoff.  Trials that were
+  merely collateral (in flight on a pool another trial's timeout
+  killed) re-run without being charged an attempt.  The engine's own
+  thread journals and observes outcomes in completion order.
 
 Determinism contract: trial functions must derive all randomness from
 their arguments (in practice: from ``(base_seed, trial_index)``).  The
@@ -29,47 +32,23 @@ unambiguously.
 
 from __future__ import annotations
 
+import collections
+import functools
+import queue
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import get_context
 from typing import Any, Callable, Sequence
 
 from repro.campaign.journal import CampaignJournal, JournalError, load_journal
-from repro.obs.observer import NULL_OBSERVER, NullObserver
-from repro.campaign.seeding import backoff_delay, derive_seed
+from repro.campaign.pool import Completed, PoolFailure, WorkerPool
 from repro.campaign.spec import (
-    RETRYABLE_KINDS,
     CampaignConfig,
     CampaignResult,
     CampaignStats,
-    SimulatedWorkerCrash,
-    TransientTrialError,
-    TrialFailure,
     TrialOutcome,
     TrialSpec,
 )
-
-
-def _execute_trial(fn: Callable[..., Any], args: tuple,
-                   kwargs: tuple[tuple[str, Any], ...],
-                   chaos, index: int, attempt: int,
-                   trial_context=None) -> Any:
-    """Worker-side trial wrapper (module-level, hence picklable)."""
-    if chaos is not None:
-        chaos.fire(index, attempt, in_worker=True)
-    call_kwargs = dict(kwargs)
-    if trial_context is not None:
-        call_kwargs["_trial"] = trial_context
-    return fn(*args, **call_kwargs)
-
-
-def _classify(exc: BaseException) -> str:
-    if isinstance(exc, TransientTrialError):
-        return "transient"
-    if isinstance(exc, (SimulatedWorkerCrash, BrokenProcessPool)):
-        return "crash"
-    return "exception"
+from repro.obs.observer import NULL_OBSERVER, NullObserver
 
 
 class CampaignEngine:
@@ -117,10 +96,19 @@ class CampaignEngine:
         """Execute one batch; returns outcomes in batch order."""
         base = self._next_index
         self._next_index += len(specs)
-        if self.config.workers <= 1:
-            outcomes = self._run_serial(specs, base)
-        else:
-            outcomes = self._run_parallel(specs, base)
+        done: dict[int, TrialOutcome] = {}
+        pending = []
+        for position, spec in enumerate(specs):
+            cached = self._cached_outcome(base + position)
+            if cached is None:
+                pending.append((base + position, spec))
+            else:
+                self._note_outcome(cached)
+                done[cached.index] = cached
+        with self._pool() as pool:
+            for outcome in self._execute(pool, pending):
+                done[outcome.index] = outcome
+        outcomes = [done[base + position] for position in range(len(specs))]
         self.outcomes.extend(outcomes)
         return CampaignResult(outcomes=outcomes)
 
@@ -179,11 +167,6 @@ class CampaignEngine:
         return TrialOutcome(index=gidx, ok=True, value=self._cache[gidx],
                             attempts=0, from_journal=True)
 
-    def _checkpoint(self, outcome: TrialOutcome) -> None:
-        if self._journal is not None and not outcome.from_journal:
-            self._journal.record(outcome)
-            self.obs.counter("campaign.journal_writes")
-
     def _note_outcome(self, outcome: TrialOutcome) -> None:
         if not self.obs.enabled:
             return
@@ -196,22 +179,6 @@ class CampaignEngine:
             self.obs.histogram("campaign.trial_wall_s", outcome.wall_s)
         for failure in outcome.failures:
             self.obs.counter(f"campaign.attempt_failures.{failure.kind}")
-
-    def _backoff(self, gidx: int, attempt: int) -> float:
-        cfg = self.config
-        delay = backoff_delay(
-            attempt,
-            base=cfg.backoff_base, factor=cfg.backoff_factor,
-            cap=cfg.backoff_cap, jitter=cfg.backoff_jitter,
-            seed=derive_seed(cfg.retry_seed, gidx, f"backoff:{attempt}"),
-        )
-        if self.obs.enabled:
-            self.obs.counter("campaign.retries")
-            self.obs.histogram("campaign.backoff_s", delay)
-        return delay
-
-    def _may_retry(self, kind: str, attempts: int) -> bool:
-        return kind in RETRYABLE_KINDS and attempts < self.config.max_attempts
 
     def _trial_context(self, spec: TrialSpec, gidx: int, attempt: int):
         """A :class:`~repro.campaign.resume.TrialContext` for this
@@ -254,207 +221,93 @@ class CampaignEngine:
             "resume_simns_saved": saved,
         }
 
-    # ------------------------------------------------------------------
-    # Serial execution
-    # ------------------------------------------------------------------
+    def _work(self, spec: TrialSpec, gidx: int, attempt: int):
+        """One attempt's ``(fn, args, kwargs)``: the spec's own call, plus
+        a ``_trial=`` context when the trial checkpoints."""
+        kwargs = dict(spec.kwargs)
+        context = self._trial_context(spec, gidx, attempt)
+        if context is not None:
+            kwargs["_trial"] = context
+        return spec.fn, spec.args, kwargs
 
-    def _run_serial(self, specs: Sequence[TrialSpec],
-                    base: int) -> list[TrialOutcome]:
+    def _pool(self) -> WorkerPool:
+        cfg = self.config
+        return WorkerPool(
+            cfg.workers if cfg.workers > 1 else 0,
+            trial_timeout=cfg.timeout, max_attempts=cfg.max_attempts,
+            retry_seed=cfg.retry_seed, backoff_base=cfg.backoff_base,
+            backoff_factor=cfg.backoff_factor, backoff_cap=cfg.backoff_cap,
+            backoff_jitter=cfg.backoff_jitter, chaos=cfg.chaos,
+            sleep=self._sleep, clock=self._clock)
+
+    def _finish(self, gidx: int, spec: TrialSpec,
+                result: Completed | Exception) -> TrialOutcome:
+        """The outcome of one trial's attempts; journals and observes it.
+        Runs on the engine's own thread only (the observer is not
+        thread-safe)."""
+        if not isinstance(result, (Completed, PoolFailure)):
+            raise result                 # a bug, not a trial failure
+        ok = isinstance(result, Completed)
+        if self.obs.enabled:
+            for delay in result.backoffs:
+                self.obs.counter("campaign.retries")
+                self.obs.histogram("campaign.backoff_s", delay)
+        outcome = TrialOutcome(index=gidx, ok=ok,
+                               value=result.value if ok else None,
+                               attempts=result.attempts,
+                               failures=result.failures,
+                               wall_s=result.wall_s if ok else None,
+                               recovery=self._recovery_info(spec, gidx))
+        if self._journal is not None:
+            self._journal.record(outcome)
+            self.obs.counter("campaign.journal_writes")
+        self._note_outcome(outcome)
+        return outcome
+
+    def _execute(self, pool: WorkerPool,
+                 pending: list[tuple[int, TrialSpec]]
+                 ) -> list[TrialOutcome]:
+        """Run ``pending`` through ``pool``; outcomes in completion order.
+
+        Serially the trials run in order on this thread.  In parallel,
+        ``workers`` threads each drive one trial at a time through the
+        pool, and this thread finishes the outcomes as they complete.
+        """
+        def attempts(gidx: int, spec: TrialSpec) -> Completed | Exception:
+            try:
+                return pool.run(gidx, functools.partial(self._work, spec,
+                                                        gidx))
+            except Exception as exc:     # PoolFailure, or re-raised below
+                return exc
+
+        if not pool.workers:
+            return [self._finish(gidx, spec, attempts(gidx, spec))
+                    for gidx, spec in pending]
+        todo = collections.deque(pending)
+        done: queue.SimpleQueue = queue.SimpleQueue()
+
+        def drive() -> None:
+            while True:
+                try:
+                    gidx, spec = todo.popleft()
+                except IndexError:
+                    return
+                done.put((gidx, spec, attempts(gidx, spec)))
+
+        threads = [threading.Thread(target=drive, daemon=True,
+                                    name=f"{self.tag}-trials-{slot}")
+                   for slot in range(min(pool.workers, len(pending)))]
+        for thread in threads:
+            thread.start()
         outcomes = []
-        for position, spec in enumerate(specs):
-            gidx = base + position
-            cached = self._cached_outcome(gidx)
-            if cached is not None:
-                self._note_outcome(cached)
-                outcomes.append(cached)
-                continue
-            outcome = self._run_one_serial(spec, gidx)
-            self._checkpoint(outcome)
-            self._note_outcome(outcome)
-            outcomes.append(outcome)
-        return outcomes
-
-    def _run_one_serial(self, spec: TrialSpec, gidx: int) -> TrialOutcome:
-        failures: list[TrialFailure] = []
-        attempt = 0
-        while True:
-            try:
-                if self.config.chaos is not None:
-                    self.config.chaos.fire(gidx, attempt, in_worker=False)
-                started = self._clock()
-                context = self._trial_context(spec, gidx, attempt)
-                if context is not None:
-                    value = spec.fn(*spec.args, **dict(spec.kwargs),
-                                    _trial=context)
-                else:
-                    value = spec.call()
-                return TrialOutcome(index=gidx, ok=True, value=value,
-                                    attempts=attempt + 1, failures=failures,
-                                    wall_s=self._clock() - started,
-                                    recovery=self._recovery_info(spec, gidx))
-            except Exception as exc:
-                kind = _classify(exc)
-                failures.append(TrialFailure(index=gidx, attempt=attempt,
-                                             kind=kind, message=str(exc)))
-                attempt += 1
-                if not self._may_retry(kind, attempt):
-                    return TrialOutcome(index=gidx, ok=False,
-                                        attempts=attempt, failures=failures,
-                                        recovery=self._recovery_info(
-                                            spec, gidx))
-                self._sleep(self._backoff(gidx, attempt - 1))
-
-    # ------------------------------------------------------------------
-    # Parallel execution
-    # ------------------------------------------------------------------
-
-    def _new_executor(self) -> ProcessPoolExecutor:
-        # Prefer fork where available: trial functions defined in test
-        # modules and dynamically-built specs stay picklable-by-reference
-        # and workers skip re-import.  Falls back to the platform default.
         try:
-            context = get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = get_context()
-        return ProcessPoolExecutor(max_workers=self.config.workers,
-                                   mp_context=context)
-
-    @staticmethod
-    def _kill_executor(executor: ProcessPoolExecutor) -> None:
-        """Terminate a pool whose workers may be stuck or dead.  Workers
-        are killed first so ``shutdown`` cannot block on a hung trial."""
-        for process in list(getattr(executor, "_processes", {}).values()):
-            try:
-                process.terminate()
-            except (OSError, AttributeError):  # pragma: no cover
-                pass
-        executor.shutdown(wait=True, cancel_futures=True)
-
-    def _run_parallel(self, specs: Sequence[TrialSpec],
-                      base: int) -> list[TrialOutcome]:
-        chaos = self.config.chaos
-        timeout = self.config.timeout
-        done: dict[int, TrialOutcome] = {}
-        attempts: dict[int, int] = {}
-        failures: dict[int, list[TrialFailure]] = {}
-        by_index: dict[int, TrialSpec] = {}
-        ready: list[tuple[float, int]] = []      # (not_before, gidx)
-        for position, spec in enumerate(specs):
-            gidx = base + position
-            by_index[gidx] = spec
-            cached = self._cached_outcome(gidx)
-            if cached is not None:
-                self._note_outcome(cached)
-                done[gidx] = cached
-            else:
-                attempts[gidx] = 0
-                failures[gidx] = []
-                ready.append((0.0, gidx))
-        ready.sort()
-
-        executor: ProcessPoolExecutor | None = None
-        # Future -> (gidx, deadline, submit time).
-        running: dict[Future, tuple[int, float | None, float]] = {}
-
-        def finalize(gidx: int, ok: bool, value: Any = None,
-                     wall_s: float | None = None) -> None:
-            outcome = TrialOutcome(index=gidx, ok=ok, value=value,
-                                   attempts=attempts[gidx],
-                                   failures=failures[gidx],
-                                   wall_s=wall_s,
-                                   recovery=self._recovery_info(
-                                       by_index[gidx], gidx))
-            self._checkpoint(outcome)
-            self._note_outcome(outcome)
-            done[gidx] = outcome
-
-        def fail(gidx: int, kind: str, message: str) -> None:
-            attempt = attempts[gidx]
-            failures[gidx].append(TrialFailure(index=gidx, attempt=attempt,
-                                               kind=kind, message=message))
-            attempts[gidx] = attempt + 1
-            if self._may_retry(kind, attempts[gidx]):
-                delay = self._backoff(gidx, attempt)
-                ready.append((self._clock() + delay, gidx))
-                ready.sort()
-            else:
-                finalize(gidx, ok=False)
-
-        def requeue_collateral() -> None:
-            """Re-queue in-flight trials after a pool kill, uncharged."""
-            for future, (gidx, _, _) in list(running.items()):
-                if gidx in done or any(g == gidx for _, g in ready):
-                    continue
-                ready.append((self._clock(), gidx))
-            ready.sort()
-            running.clear()
-
-        try:
-            while ready or running:
-                now = self._clock()
-                # Submit every due trial for which a worker slot is free.
-                while ready and ready[0][0] <= now and \
-                        len(running) < self.config.workers:
-                    _, gidx = ready.pop(0)
-                    if executor is None:
-                        executor = self._new_executor()
-                    spec = by_index[gidx]
-                    future = executor.submit(
-                        _execute_trial, spec.fn, spec.args, spec.kwargs,
-                        chaos, gidx, attempts[gidx],
-                        self._trial_context(spec, gidx, attempts[gidx]))
-                    deadline = None if timeout is None else now + timeout
-                    running[future] = (gidx, deadline, self._clock())
+            for _ in pending:
+                gidx, spec, result = done.get()
                 if self.obs.enabled:
-                    self.obs.histogram("campaign.workers_busy", len(running))
-                if not running:
-                    # Everything pending is backing off; sleep it out.
-                    if ready:
-                        self._sleep(max(0.0, ready[0][0] - self._clock()))
-                    continue
-
-                waits = [deadline - now
-                         for _, deadline, _ in running.values()
-                         if deadline is not None]
-                if len(running) < self.config.workers:
-                    waits += [not_before - now for not_before, _ in ready]
-                wait_timeout = max(0.0, min(waits)) if waits else None
-                completed = wait(running.keys(), timeout=wait_timeout,
-                                 return_when=FIRST_COMPLETED).done
-
-                pool_broken = False
-                for future in completed:
-                    gidx, _, started = running.pop(future)
-                    exc = future.exception()
-                    if exc is None:
-                        attempts[gidx] += 1
-                        finalize(gidx, ok=True, value=future.result(),
-                                 wall_s=self._clock() - started)
-                    else:
-                        kind = _classify(exc)
-                        if kind == "crash":
-                            pool_broken = True
-                        fail(gidx, kind, f"{type(exc).__name__}: {exc}")
-
-                now = self._clock()
-                expired = [future
-                           for future, (_, deadline, _) in running.items()
-                           if deadline is not None and now >= deadline]
-                for future in expired:
-                    gidx, _, _ = running.pop(future)
-                    fail(gidx, "timeout",
-                         f"trial exceeded {timeout:.3g}s wall-clock budget")
-
-                if pool_broken or expired:
-                    # The pool has dead or stuck workers; kill it and let
-                    # the still-healthy in-flight trials re-run free of
-                    # charge on a fresh pool.
-                    if executor is not None:
-                        self._kill_executor(executor)
-                        executor = None
-                    requeue_collateral()
+                    self.obs.histogram("campaign.workers_busy", pool.busy)
+                outcomes.append(self._finish(gidx, spec, result))
         finally:
-            if executor is not None:
-                executor.shutdown(wait=True, cancel_futures=True)
-
-        return [done[base + position] for position in range(len(specs))]
+            todo.clear()
+            for thread in threads:
+                thread.join()
+        return outcomes

@@ -677,17 +677,19 @@ def _cmd_diff(args) -> int:
 
 def _add_chaos_args(parser: argparse.ArgumentParser) -> None:
     chaos = parser.add_argument_group(
-        "chaos", "fault injection into the worker pool (by pool "
-                 "submission index)")
+        "chaos", "fault injection into the worker pool, by request index "
+                 "(requests are numbered in pool submission order); a "
+                 "fault fires on a request's first attempt only, so its "
+                 "retry recovers")
     chaos.add_argument("--chaos-crash", default="", metavar="I,J,...",
-                       help="kill the worker process on these submissions")
+                       help="kill the worker process on these requests")
     chaos.add_argument("--chaos-kill9", default="", metavar="I,J,...",
                        help="SIGKILL the worker process on these "
-                            "submissions (hard, unhandled death)")
+                            "requests (hard, unhandled death)")
     chaos.add_argument("--chaos-hang", default="", metavar="I,J,...",
-                       help="hang the trial on these submissions")
+                       help="hang the trial on these requests")
     chaos.add_argument("--chaos-transient", default="", metavar="I,J,...",
-                       help="raise a transient error on these submissions")
+                       help="raise a transient error on these requests")
     chaos.add_argument("--chaos-hang-seconds", type=float, default=60.0)
 
 

@@ -1,17 +1,22 @@
 """Crash-isolated simulation workers for the serve layer.
 
-One :class:`SimulationPool` wraps a ``ProcessPoolExecutor`` exactly the
-way the campaign engine does (DESIGN.md §9) and reuses the same failure
-taxonomy and seeded backoff:
+:class:`SimulationPool` is the campaign engine's
+:class:`~repro.campaign.pool.WorkerPool` (DESIGN.md §9), shared by the
+dispatcher threads, with one :meth:`~SimulationPool.execute` per
+request:
 
 * a worker exception, dead worker process, or per-trial wall-clock
   timeout becomes a structured failure kind (``transient`` / ``crash``
   / ``timeout`` / ``exception`` / ``deadline``);
 * retryable kinds (:data:`repro.campaign.spec.RETRYABLE_KINDS`) re-run
-  after a seeded exponential backoff — deterministic in
-  ``(retry_seed, submission index, attempt)``;
-* a timed-out or broken pool is killed and rebuilt; trials in flight on
-  the killed pool surface as retryable ``crash`` collateral;
+  after a seeded exponential backoff.  Requests are numbered in
+  submission order, and chaos and backoff are deterministic in
+  ``(retry_seed, request index, attempt)``: a retry keeps its request's
+  index, so a planned fault fires on the first attempt only;
+* a timed-out or broken pool is killed and rebuilt.  A request that was
+  merely in flight on a pool another request's timeout killed re-runs
+  uncharged; a pool that broke by itself charges every request in
+  flight on it a retryable ``crash``;
 * a request deadline caps the wait: a trial that cannot finish inside
   the caller's remaining budget fails with kind ``deadline`` (never
   retried — the client has already gone away).
@@ -24,23 +29,11 @@ indistinguishable.
 
 from __future__ import annotations
 
+import itertools
 import os
-import threading
-import time
-from concurrent.futures import CancelledError, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import get_context
-from typing import Any, Callable
+from typing import Any
 
-from repro.campaign.chaos import ChaosPlan
-from repro.campaign.seeding import backoff_delay, derive_seed
-from repro.campaign.spec import (
-    RETRYABLE_KINDS,
-    SimulatedWorkerCrash,
-    TransientTrialError,
-    TrialFailure,
-)
+from repro.campaign.pool import PoolFailure, WorkerPool
 
 __all__ = ["SimulationPool", "PoolFailure", "simulate_trial",
            "result_payload"]
@@ -54,20 +47,6 @@ def close_inherited_fd(fd: int) -> None:
         os.close(fd)
     except OSError:  # pragma: no cover - already closed
         pass
-
-
-class PoolFailure(RuntimeError):
-    """A trial that exhausted its attempts (or its caller's deadline)."""
-
-    def __init__(self, kind: str, message: str,
-                 failures: list[TrialFailure]) -> None:
-        super().__init__(message)
-        self.kind = kind
-        self.failures = failures
-
-    @property
-    def attempts(self) -> int:
-        return len(self.failures)
 
 
 def result_payload(scenario, summary) -> dict[str, Any]:
@@ -97,119 +76,24 @@ def result_payload(scenario, summary) -> dict[str, Any]:
     }
 
 
-def simulate_trial(scenario_dict: dict[str, Any],
-                   chaos: ChaosPlan | None = None,
-                   index: int = 0, attempt: int = 0) -> dict[str, Any]:
+def simulate_trial(scenario_dict: dict[str, Any]) -> dict[str, Any]:
     """Worker-side entry point (module-level, hence picklable)."""
     from repro.api import simulate
     from repro.scenario import Scenario
 
-    if chaos is not None:
-        chaos.fire(index, attempt, in_worker=True)
     scenario = Scenario.from_dict(scenario_dict)
     return result_payload(scenario, simulate(scenario))
 
 
-class SimulationPool:
-    """Shared, rebuild-on-failure process pool for serve dispatchers.
+class SimulationPool(WorkerPool):
+    """The dispatchers' shared :class:`WorkerPool`: one :meth:`execute`
+    per request, requests numbered in submission order.  Thread-safe."""
 
-    Thread-safe: several dispatcher threads call :meth:`execute`
-    concurrently; rebuilds are serialized and identity-checked so one
-    sick pool is only killed once.
-    """
-
-    def __init__(self, workers: int = 2, *,
-                 trial_timeout: float | None = None,
-                 max_attempts: int = 3,
-                 retry_seed: int = 0,
-                 backoff_base: float = 0.02,
-                 backoff_factor: float = 2.0,
-                 backoff_cap: float = 0.5,
-                 backoff_jitter: float = 0.25,
-                 chaos: ChaosPlan | None = None,
-                 sleep: Callable[[float], None] = time.sleep,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(self, workers: int = 2, **settings: Any) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.workers = workers
-        self.trial_timeout = trial_timeout
-        self.max_attempts = max(1, max_attempts)
-        self.retry_seed = retry_seed
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
-        self.backoff_cap = backoff_cap
-        self.backoff_jitter = backoff_jitter
-        self.chaos = chaos if chaos is not None and not chaos.empty else None
-        self._sleep = sleep
-        self._clock = clock
-        self._lock = threading.Lock()
-        #: Optional per-worker initializer (picklable zero-arg callable),
-        #: run in every worker process the executor forks — including
-        #: respawns after a rebuild.  The serve layer uses it to close
-        #: the inherited HTTP listener so orphaned workers of a
-        #: SIGKILLed server cannot hold the port against a warm restart.
-        self.worker_init: Callable[[], None] | None = None
-        self._executor: ProcessPoolExecutor | None = None
-        self._submissions = 0
-        self._busy = 0
-        self.executions = 0
-        self.retries = 0
-        self.rebuilds = 0
-        self.failure_kinds: dict[str, int] = {}
-
-    # ------------------------------------------------------------------
-    # Executor lifecycle
-    # ------------------------------------------------------------------
-
-    def _new_executor(self) -> ProcessPoolExecutor:
-        try:
-            context = get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = get_context()
-        return ProcessPoolExecutor(max_workers=self.workers,
-                                   mp_context=context,
-                                   initializer=self.worker_init)
-
-    def _executor_ref(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                self._executor = self._new_executor()
-            return self._executor
-
-    def _kill(self, executor: ProcessPoolExecutor) -> None:
-        """Kill ``executor`` if it is still the live one (dead or stuck
-        workers cannot be waited out; terminate first so shutdown cannot
-        block on a hung trial)."""
-        with self._lock:
-            if self._executor is not executor:
-                return              # someone else already rebuilt
-            self._executor = None
-            self.rebuilds += 1
-        for process in list(getattr(executor, "_processes", {}).values()):
-            try:
-                process.terminate()
-            except (OSError, AttributeError):  # pragma: no cover
-                pass
-        executor.shutdown(wait=True, cancel_futures=True)
-
-    def shutdown(self) -> None:
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-
-    @property
-    def busy(self) -> int:
-        with self._lock:
-            return self._busy
-
-    def _note_failure(self, kind: str) -> None:
-        with self._lock:
-            self.failure_kinds[kind] = self.failure_kinds.get(kind, 0) + 1
+        super().__init__(workers, **settings)
+        self._requests = itertools.count()
 
     def execute(self, scenario_dict: dict[str, Any],
                 deadline: float | None = None) -> dict[str, Any]:
@@ -220,85 +104,6 @@ class SimulationPool:
         wait is the smaller of the trial timeout and the remaining
         deadline budget.
         """
-        failures: list[TrialFailure] = []
-        for attempt in range(self.max_attempts):
-            remaining = None if deadline is None \
-                else deadline - self._clock()
-            if remaining is not None and remaining <= 0:
-                failures.append(TrialFailure(
-                    index=-1, attempt=attempt, kind="deadline",
-                    message="request deadline exhausted before dispatch"))
-                self._note_failure("deadline")
-                raise PoolFailure("deadline", "request deadline exhausted",
-                                  failures)
-            with self._lock:
-                index = self._submissions
-                self._submissions += 1
-            executor = self._executor_ref()
-            budget = self.trial_timeout
-            if remaining is not None:
-                budget = remaining if budget is None \
-                    else min(budget, remaining)
-            kind = message = None
-            try:
-                # Chaos is addressed purely by submission index here
-                # (every attempt gets a fresh index), so the attempt
-                # passed to the plan is pinned to its own on_attempt.
-                chaos_attempt = self.chaos.on_attempt \
-                    if self.chaos is not None else 0
-                future = executor.submit(simulate_trial, scenario_dict,
-                                         self.chaos, index, chaos_attempt)
-            except RuntimeError as exc:   # submit raced a rebuild
-                kind, message = "crash", f"executor unavailable: {exc}"
-            if kind is None:
-                with self._lock:
-                    self._busy += 1
-                try:
-                    value = future.result(timeout=budget)
-                    with self._lock:
-                        self.executions += 1
-                    return value
-                except FutureTimeoutError:
-                    future.cancel()
-                    self._kill(executor)
-                    # A hung *worker* (trial timeout) is a pool fault
-                    # and retryable; an exhausted *request* budget is
-                    # the client's deadline and is not.
-                    if self.trial_timeout is not None and \
-                            budget >= self.trial_timeout:
-                        kind = "timeout"
-                        message = (f"trial exceeded {self.trial_timeout:.3g}s "
-                                   f"wall-clock budget")
-                    else:
-                        kind = "deadline"
-                        message = "request deadline exhausted mid-trial"
-                except (BrokenProcessPool, CancelledError) as exc:
-                    self._kill(executor)
-                    kind = "crash"
-                    message = f"{type(exc).__name__}: {exc}"
-                except (SimulatedWorkerCrash,) as exc:
-                    kind, message = "crash", str(exc)
-                except TransientTrialError as exc:
-                    kind, message = "transient", str(exc)
-                except Exception as exc:   # the scenario itself raised
-                    kind = "exception"
-                    message = f"{type(exc).__name__}: {exc}"
-                finally:
-                    with self._lock:
-                        self._busy -= 1
-            failures.append(TrialFailure(index=index, attempt=attempt,
-                                         kind=kind, message=message))
-            self._note_failure(kind)
-            retryable = kind in RETRYABLE_KINDS \
-                and attempt + 1 < self.max_attempts
-            if not retryable:
-                raise PoolFailure(kind, message, failures)
-            with self._lock:
-                self.retries += 1
-            self._sleep(backoff_delay(
-                attempt, base=self.backoff_base,
-                factor=self.backoff_factor, cap=self.backoff_cap,
-                jitter=self.backoff_jitter,
-                seed=derive_seed(self.retry_seed, index,
-                                 f"backoff:{attempt}")))
-        raise AssertionError("unreachable")  # pragma: no cover
+        work = (simulate_trial, (scenario_dict,), {})
+        return self.run(next(self._requests), lambda _attempt: work,
+                        deadline=deadline).value

@@ -447,12 +447,12 @@ def restore_kernel(config: "SimulationConfig",
     ``config`` must be *equivalent* to the snapshotted run's config (same
     tasks, traces, sync, costs, fault plan, ...) — normally it is rebuilt
     deterministically from the same :class:`~repro.scenario.Scenario`.
-    The checkpoint is verified first; a torn or tampered one raises
-    :class:`CheckpointError` before any kernel state is touched.
+    ``checkpoint`` must come from :meth:`KernelCheckpoint.wrap` or
+    :meth:`KernelCheckpoint.from_json`; the latter is the gate that
+    verifies bytes read back, so it is not verified a second time here.
     """
     from repro.sim.kernel import Kernel
 
-    checkpoint.verify()
     state = checkpoint.state
     kernel = Kernel(config)
 

@@ -110,3 +110,29 @@ def test_tampered_checkpoint_is_rejected():
     tampered = doc.replace('"clock":', '"clock_":', 1)
     with pytest.raises(CheckpointError):
         KernelCheckpoint.from_json(tampered)
+
+
+def test_a_file_resume_encodes_its_checkpoint_state_once(monkeypatch):
+    """Decoding a checkpoint file verifies it; restoring from the decoded
+    checkpoint does not encode and hash the state a second time."""
+    import json
+
+    from repro.sim.checkpoint import KernelCheckpoint
+
+    scenario = _scenario(0, "lockfree", None)
+    sink: list = []
+    clean = simulate(scenario, checkpoints=CheckpointPolicy(every_events=25),
+                     checkpoint_sink=sink.append)
+    text = sink[len(sink) // 2].to_json()
+    dumps, calls = json.dumps, []
+
+    def counting_dumps(*args, **kwargs):
+        calls.append(1)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    resumed = simulate(scenario,
+                       resume_from=KernelCheckpoint.from_json(text))
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert _fingerprint(resumed) == _fingerprint(clean)
