@@ -8,8 +8,8 @@ RUA drops the chain-dependent steps: PUDs cost ``O(n)`` and construction
 ``O(n^2)``, for ``O(n^2)`` total.
 
 These operation-count models back the simulated cost charged per
-scheduling pass and are validated against wall-time measurements of the
-real policy implementations by ``benchmarks/bench_scheduler_cost.py``.
+scheduling pass; ``scripts/pass_cost.py`` measures the wall time of the
+real policy implementations against n and fits the log-log slope.
 """
 
 from __future__ import annotations

@@ -170,10 +170,6 @@ class CampaignStats:
     attempt_failures: tuple[tuple[str, int], ...] = ()  # kind -> count
     workers: int = 1
 
-    @property
-    def total_attempt_failures(self) -> int:
-        return sum(count for _, count in self.attempt_failures)
-
     def summary_line(self) -> str:
         parts = [f"{self.trials} trials", f"{self.completed} ok",
                  f"{self.failed_trials} failed"]

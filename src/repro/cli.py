@@ -3,8 +3,9 @@
 Commands:
 
 * ``quick`` — one random-workload simulation per sharing style;
-* ``figure`` — run one of the paper's figure campaigns (reduced settings
-  by default; ``--repeats``/``--horizon-ms`` scale it up);
+* ``figure`` — run one of the paper's figure campaigns (Figures 8–14,
+  Theorems 2/3, Lemmas 4/5, the retry-policy ablation; reduced settings
+  by default, ``--repeats``/``--horizon-ms`` scale it up);
 * ``retrybound`` — the Theorem 2 validation campaign;
 * ``sojourn`` — evaluate the Theorem 3 comparison for given parameters;
 * ``faults`` — the CML-under-faults degradation campaign: inject
@@ -81,7 +82,9 @@ FIGURES = {
     "fig13": figures.fig13,
     "fig14": figures.fig14,
     "thm2": figures.thm2_validation,
+    "thm3": figures.thm3_sojourn,
     "lemma45": figures.lemma45_validation,
+    "ablation": figures.retry_policy_ablation,
 }
 
 #: Exit code for a campaign whose terminal trial failures exceeded

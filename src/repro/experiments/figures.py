@@ -1,11 +1,12 @@
-"""Per-figure experiment functions (Figures 8–14 plus theorem/lemma
-validations).
+"""Per-figure experiment functions (Figures 8–14, the theorem/lemma
+validations and the retry-policy ablation).
 
 Each function runs the seeded simulation campaign for one figure of the
 paper and returns a :class:`FigureResult` whose ``render()`` produces the
-ASCII table recorded in EXPERIMENTS.md.  ``repeats`` and ``horizon_factor``
-trade fidelity for speed; the benchmark suite uses reduced settings, and
-``scripts``-level runs can crank them up.
+ASCII table recorded in EXPERIMENTS.md.  ``repeats`` and ``horizon``
+trade fidelity for speed: ``repro figure NAME`` runs the settings that
+EXPERIMENTS.md records, and ``tests/experiments/test_paper_shapes.py``
+asserts the paper's shape on the same campaigns.
 
 Every figure accepts ``campaign=`` — a
 :class:`repro.campaign.CampaignConfig` (or a pre-built
@@ -24,7 +25,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.analysis.retry_bound import retry_bound_for_taskset
+from repro.analysis.retry_bound import retry_bound_for_taskset, x_i
+from repro.analysis.sojourn import compare_sojourn
 from repro.analysis.aur_bounds import (
     lemma4_lockfree_aur_bounds,
     lemma5_lockbased_aur_bounds,
@@ -36,7 +38,7 @@ from repro.campaign import (
     as_engine,
 )
 from repro.experiments.cml import measure_cml
-from repro.experiments.report import format_series_table
+from repro.experiments.report import format_scalar_rows, format_series_table
 from repro.experiments.runner import run_many, run_once
 from repro.experiments.stats import Series
 from repro.experiments.workloads import (
@@ -65,12 +67,22 @@ class FigureResult:
     #: (None for the plain serial path).  Failed trials thin the sample
     #: behind a point; the render makes that visible instead of silent.
     campaign: CampaignStats | None = None
+    #: Results without an x axis (Theorem 3, the retry ablation), in
+    #: place of series: label -> (value, format spec).
+    scalars: dict[str, tuple[Any, str]] = field(default_factory=dict)
+
+    def scalar(self, label: str) -> Any:
+        return self.scalars[label][0]
 
     def render(self) -> str:
-        text = format_series_table(
-            f"{self.figure}: {self.title}", self.x_label, self.series,
-            show_n=self.campaign is not None,
-        )
+        title = f"{self.figure}: {self.title}"
+        if self.scalars:
+            text = format_scalar_rows(title, [
+                (label, format(value, spec))
+                for label, (value, spec) in self.scalars.items()])
+        else:
+            text = format_series_table(title, self.x_label, self.series,
+                                       show_n=self.campaign is not None)
         if self.notes:
             text += f"\n{self.notes}"
         if self.campaign is not None:
@@ -79,7 +91,7 @@ class FigureResult:
 
     def to_dict(self) -> dict[str, Any]:
         """Machine-readable summary (the CLI's ``--json`` payload)."""
-        return {
+        out = {
             "figure": self.figure,
             "title": self.title,
             "x_label": self.x_label,
@@ -88,6 +100,10 @@ class FigureResult:
             "campaign": (None if self.campaign is None
                          else self.campaign.to_dict()),
         }
+        if self.scalars:
+            out["scalars"] = {label: value
+                              for label, (value, _) in self.scalars.items()}
+        return out
 
 
 def _seeds(repeats: int, base: int) -> list[int]:
@@ -449,4 +465,90 @@ def lemma45_validation(repeats: int = 5, horizon: int = 300 * MS,
         x_label="-",
         series=out,
         notes="Soundness requires lower <= measured <= upper.",
+    ), engine, owned)
+
+
+# ---------------------------------------------------------------------
+# Theorem 3 — lock-based vs lock-free sojourn crossover
+# ---------------------------------------------------------------------
+
+def thm3_sojourn(repeats: int = 3, horizon: int = 100 * MS,
+                 base_seed: int = 300,
+                 campaign: CampaignArg = None) -> FigureResult:
+    """Instantiate Theorem 3 with the ``r`` and ``s`` measured on a
+    Figure 8 style campaign (six accesses per job, AL 0.8), for a
+    representative task of the set, and report the predicted winner
+    beside the simulated mean sojourn times of both sharing styles."""
+    engine, owned = _engine_for(campaign, tag="thm3")
+    build = BuilderSpec.make("paper", accesses_per_job=6, target_load=0.8)
+    seeds = [base_seed + k for k in range(repeats)]
+    lockbased = run_many(build, "lockbased", horizon, seeds,
+                         campaign=engine)
+    lockfree = run_many(build, "lockfree", horizon, seeds, campaign=engine)
+    r = DEFAULT_ACCESS_DURATION + (
+        sum(res.mean_lock_mechanism_per_access or 0 for res in lockbased)
+        / len(lockbased))
+    s = DEFAULT_ACCESS_DURATION + (
+        sum(res.mean_lockfree_mechanism_per_access or 0 for res in lockfree)
+        / len(lockfree))
+    lb_sojourn = (sum(res.mean_sojourn() or 0 for res in lockbased)
+                  / len(lockbased))
+    lf_sojourn = (sum(res.mean_sojourn() or 0 for res in lockfree)
+                  / len(lockfree))
+    tasks = paper_taskset(random.Random(base_seed), accesses_per_job=6,
+                          target_load=0.8)
+    task = tasks[0]
+    x = x_i(0, tasks)
+    comparison = compare_sojourn(
+        u_i=task.compute_time, interference=0, r=r, s=s,
+        m_i=task.access_count, n_i=2 * task.arrival.max_arrivals + x,
+        a_i=task.arrival.max_arrivals, x_i=x)
+    return _finish(FigureResult(
+        figure="Theorem 3",
+        title="sojourn comparison",
+        x_label="-",
+        scalars={
+            "measured r [ns]": (r, ".0f"),
+            "measured s [ns]": (s, ".0f"),
+            "s/r": (comparison.ratio, ".3f"),
+            "paper threshold": (comparison.paper_threshold, ".3f"),
+            "exact threshold": (comparison.exact_threshold, ".3f"),
+            "predicted lock-free wins":
+                (comparison.predicted_lockfree_wins, ""),
+            "bound lock-based [ns]": (comparison.lockbased, ".0f"),
+            "bound lock-free [ns]": (comparison.lockfree, ".0f"),
+            "simulated mean sojourn lock-based [ns]": (lb_sojourn, ".0f"),
+            "simulated mean sojourn lock-free [ns]": (lf_sojourn, ".0f"),
+        },
+    ), engine, owned)
+
+
+# ---------------------------------------------------------------------
+# Ablation — lock-free retry policy (beyond the paper)
+# ---------------------------------------------------------------------
+
+def retry_policy_ablation(repeats: int = 3, horizon: int = 200 * MS,
+                          base_seed: int = 77,
+                          campaign: CampaignArg = None) -> FigureResult:
+    """ON_CONFLICT (realistic, restart only on a conflicting commit) vs
+    ON_PREEMPTION (conservative, restart on any preemption, the
+    accounting of Theorem 2's proof) on the bursty interference
+    workload: mean retries and AUR per run."""
+    engine, owned = _engine_for(campaign, tag="ablation")
+    build = BuilderSpec.make("interference")
+    seeds = [base_seed + k for k in range(repeats)]
+    scalars: dict[str, tuple[Any, str]] = {}
+    for policy in (RetryPolicy.ON_CONFLICT, RetryPolicy.ON_PREEMPTION):
+        results = run_many(build, "lockfree", horizon, seeds,
+                           arrival_style="bursty", retry_policy=policy,
+                           campaign=engine)
+        scalars[f"{policy.name} mean retries/run"] = (
+            sum(r.total_retries for r in results) / len(results), ".1f")
+        scalars[f"{policy.name} mean AUR"] = (
+            sum(r.aur for r in results) / len(results), ".3f")
+    return _finish(FigureResult(
+        figure="Ablation",
+        title="lock-free retry policy",
+        x_label="-",
+        scalars=scalars,
     ), engine, owned)

@@ -86,11 +86,6 @@ class Series:
     def at(self, x: float) -> Estimate:
         return self.estimates[self.xs.index(x)]
 
-    @property
-    def total_n(self) -> int:
-        """Total sample count across all points (campaign N bookkeeping)."""
-        return sum(e.n for e in self.estimates)
-
     def to_dict(self) -> dict:
         return {
             "label": self.label,

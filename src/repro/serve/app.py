@@ -282,7 +282,6 @@ class ServeApp:
         self.pool.shutdown()
         if self.request_log is not None:
             self.request_log.close()
-        self.drain.finish()
         return {"reason": reason, "unfinished": len(leftover)}
 
     def close(self) -> None:

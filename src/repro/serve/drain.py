@@ -27,12 +27,10 @@ __all__ = ["DrainController", "install_drain_signal"]
 
 
 class DrainController:
-    """One-way latch from *serving* to *draining*, with a completion
-    event the server loop can wait on."""
+    """One-way latch from *serving* to *draining*."""
 
     def __init__(self) -> None:
         self._draining = threading.Event()
-        self._done = threading.Event()
         self.reason = ""
 
     @property
@@ -50,12 +48,6 @@ class DrainController:
     def wait(self, timeout: float | None = None) -> bool:
         """Block until someone begins a drain (the serve main loop)."""
         return self._draining.wait(timeout)
-
-    def finish(self) -> None:
-        self._done.set()
-
-    def wait_finished(self, timeout: float | None = None) -> bool:
-        return self._done.wait(timeout)
 
 
 def install_drain_signal(callback: Callable[[str], None],

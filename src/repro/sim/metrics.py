@@ -185,12 +185,6 @@ class SimulationResult:
         values = self.sojourns(task_name)
         return max(values) if values else None
 
-    def retries_by_job(self, task_name: str | None = None) -> list[int]:
-        return [
-            r.retries for r in self.records
-            if task_name is None or r.task_name == task_name
-        ]
-
     def per_task(self) -> dict[str, "SimulationResult"]:
         """Split the result by task name (horizon/overhead fields are
         copied; they are global)."""

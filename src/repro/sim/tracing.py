@@ -67,12 +67,6 @@ class Tracer:
     def of_kind(self, kind: TraceKind) -> list[TraceEvent]:
         return [e for e in self.events if e.kind is kind]
 
-    def for_job(self, job_name: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.job == job_name]
-
-    def dump(self) -> str:
-        return "\n".join(str(e) for e in self.events)
-
     def clear(self) -> None:
         """Drop recorded events (keeps ``enabled``); lets long-lived
         harnesses bound memory between instrumented runs."""

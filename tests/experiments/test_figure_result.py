@@ -33,3 +33,12 @@ class TestFigureResult:
     def test_empty_series_renders_header_only(self):
         result = FigureResult(figure="F", title="T", x_label="x")
         assert "F: T" in result.render()
+
+    def test_scalars_render_as_rows_and_keep_raw_values(self):
+        result = FigureResult(figure="Theorem X", title="demo", x_label="-",
+                              scalars={"s/r": (0.03502, ".3f"),
+                                       "wins": (True, "")})
+        assert result.render().splitlines()[2:] == ["s/r   0.035",
+                                                     "wins  True"]
+        assert result.scalar("s/r") == 0.03502
+        assert result.to_dict()["scalars"] == {"s/r": 0.03502, "wins": True}
