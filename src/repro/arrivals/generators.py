@@ -61,26 +61,6 @@ def _lower_bound_grid(spec: UAMSpec, horizon: int, phase: int) -> list[int]:
     return times
 
 
-class _ThinningWindow:
-    """Trailing-window counter used to enforce the UAM upper bound."""
-
-    def __init__(self, spec: UAMSpec) -> None:
-        self._spec = spec
-        self._recent: deque[int] = deque()
-
-    def admits(self, t: int) -> bool:
-        self._evict(t)
-        return len(self._recent) < self._spec.max_arrivals
-
-    def admit(self, t: int) -> None:
-        self._evict(t)
-        self._recent.append(t)
-
-    def _evict(self, t: int) -> None:
-        while self._recent and self._recent[0] <= t - self._spec.window:
-            self._recent.popleft()
-
-
 def _virtual_grid_prefix(spec: UAMSpec, phase: int) -> list[int]:
     """The lower-bound grid's points in ``(-W, 0)``, used to seed the
     thinning window.  Without them, extras near the start of the horizon
@@ -107,27 +87,34 @@ def _merge_thin(grid: list[int], extras: list[int], spec: UAMSpec,
     (including, via ``preload``, windows straddling time zero), admitting
     grid points unconditionally can never break the upper bound as long
     as extras are thinned against the combined count.
+
+    ``recent`` holds the admitted arrivals of the trailing window
+    ``(t - W, t]``, starting from the sorted ``preload`` (points in
+    ``[-W, 0)``); arrivals come in time order, so the oldest leave from
+    the left.
     """
-    window = _ThinningWindow(spec)
-    for t in preload or []:
-        window.admit(t)
+    bound = spec.max_arrivals
+    span = spec.window
+    recent = deque(preload or ())
     out: list[int] = []
+    n_grid = len(grid)
+    n_extras = len(extras)
     gi = ei = 0
-    while gi < len(grid) or ei < len(extras):
-        take_grid = gi < len(grid) and (
-            ei >= len(extras) or grid[gi] <= extras[ei]
-        )
-        if take_grid:
+    while gi < n_grid or ei < n_extras:
+        if gi < n_grid and (ei >= n_extras or grid[gi] <= extras[ei]):
             t = grid[gi]
             gi += 1
-            window.admit(t)
-            out.append(t)
+            mandatory = True
         else:
             t = extras[ei]
             ei += 1
-            if window.admits(t):
-                window.admit(t)
-                out.append(t)
+            mandatory = False
+        oldest = t - span
+        while recent and recent[0] <= oldest:
+            recent.popleft()
+        if mandatory or len(recent) < bound:
+            recent.append(t)
+            out.append(t)
     return out
 
 

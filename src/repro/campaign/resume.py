@@ -106,14 +106,17 @@ class CheckpointStore(VerifiedStore):
                    json.dumps(lineage, sort_keys=True) + "\n")
 
     def lineage(self, index: int) -> list[dict[str, Any]]:
-        try:
-            doc = json.loads(
-                self.lineage_path(index).read_text(encoding="utf-8"))
-        except (FileNotFoundError, NotADirectoryError):
-            return []
-        except (OSError, json.JSONDecodeError):
-            return []
-        return doc if isinstance(doc, list) else []
+        """The trial's attempt records, oldest first.  A sidecar that is
+        torn or not a JSON list is quarantined and read as empty, so the
+        next attempt starts a fresh list beside the evidence."""
+        return self.read(self.lineage_path(index), _decode_lineage) or []
+
+
+def _decode_lineage(text: str) -> list[dict[str, Any]]:
+    doc = json.loads(text)
+    if not isinstance(doc, list):
+        raise ValueError("lineage sidecar is not a JSON list")
+    return doc
 
 
 def simulate_scenario_trial(scenario_dict: dict[str, Any],

@@ -230,7 +230,10 @@ def _build_parser() -> argparse.ArgumentParser:
     figure = sub.add_parser("figure", help="regenerate a paper figure")
     figure.add_argument("name", choices=sorted(FIGURES))
     figure.add_argument("--repeats", type=int, default=3)
-    figure.add_argument("--horizon-ms", type=int, default=100)
+    figure.add_argument("--horizon-ms", type=int, default=None,
+                        help="simulated horizon per run (default 100); "
+                             "fig9 derives its horizons from the "
+                             "execution time and rejects it")
     figure.add_argument("--out", default=None, metavar="PATH",
                         help="also write the rendered table to a file")
     figure.add_argument("--json", default=None, metavar="PATH",
@@ -476,6 +479,14 @@ def _cmd_quick(args) -> int:
 
 def _cmd_figure(args) -> int:
     fn = FIGURES[args.name]
+    if args.name == "fig9":
+        if args.horizon_ms is not None:
+            raise UsageError("figure fig9 takes no --horizon-ms: each "
+                             "horizon follows from the execution time")
+        kwargs = {}
+    else:
+        horizon_ms = 100 if args.horizon_ms is None else args.horizon_ms
+        kwargs = {"horizon": horizon_ms * MS}
     campaign = _campaign_from_args(args)
     observer = Observer() if campaign is not None else None
     engine = (CampaignEngine(campaign, tag=f"figure:{args.name}",
@@ -483,11 +494,7 @@ def _cmd_figure(args) -> int:
               if campaign is not None else None)
     _announce_metrics(engine)
     try:
-        if args.name == "fig9":
-            result = fn(repeats=max(1, args.repeats // 3), campaign=engine)
-        else:
-            result = fn(repeats=args.repeats, horizon=args.horizon_ms * MS,
-                        campaign=engine)
+        result = fn(repeats=args.repeats, campaign=engine, **kwargs)
     finally:
         if engine is not None:
             engine.close()

@@ -27,7 +27,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.core.pud": ("chain_pud", "completion_estimates"),
     "repro.core.feasibility": ("is_feasible",),
     "repro.core.schedule_builder": (
-        "build_rua_schedule", "build_singleton_schedule", "insert_chain",
+        "build_rua_schedule", "insert_chain",
     ),
     "repro.core.deadlock": ("detect_deadlock", "pick_deadlock_victim"),
     "repro.core.rua_lockbased": ("LockBasedRUA",),

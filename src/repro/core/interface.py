@@ -78,7 +78,10 @@ class SchedulerPolicy(ABC):
     emits_counters: bool = False
 
     def __init__(self) -> None:
-        self._deadlock_victims: list[Job] = []
+        #: Deadlock victims requested and not yet consumed.  The kernel
+        #: tests this list after every pass and calls
+        #: :meth:`consume_abort_requests` only when it is non-empty.
+        self.abort_requests: list[Job] = []
         #: Whether this policy runs the fast path, resolved once here
         #: rather than read from the environment on every pass.
         self.fast = fastpath_enabled()
@@ -120,7 +123,7 @@ class SchedulerPolicy(ABC):
         so a victim requested before the snapshot must never reach the
         restored kernel.  Policies keep no other state between passes.
         """
-        self._deadlock_victims = []
+        self.abort_requests = []
 
     def _emit_counters(self, result: PassResult) -> None:
         """Deterministic per-pass counters, identical on the computed and
@@ -142,13 +145,10 @@ class SchedulerPolicy(ABC):
     def request_abort(self, job: Job) -> None:
         """Ask the kernel to abort ``job`` (deadlock resolution,
         Section 3.3).  The kernel collects requests after each pass."""
-        self._deadlock_victims.append(job)
+        self.abort_requests.append(job)
 
     def consume_abort_requests(self) -> list[Job]:
-        """The victims requested since the last call (an empty list,
-        not a fresh one, when there are none: the kernel asks after
-        every pass)."""
-        victims = self._deadlock_victims
-        if victims:
-            self._deadlock_victims = []
+        """The victims requested since the last call."""
+        victims = self.abort_requests
+        self.abort_requests = []
         return victims

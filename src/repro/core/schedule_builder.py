@@ -28,10 +28,11 @@ construction simplifies drastically:
   them on dense overloaded sets) has no suffix at all: it is appended
   if it meets its own critical time.
 
-:func:`singleton_pass` and :func:`build_singleton_schedule` implement
-that fast path.  They keep no state between passes: every fixed field
-is read from the ``Job`` and its ``TaskSpec``, so there is nothing to
-invalidate when the jobs change or a checkpoint is restored.
+:func:`singleton_pass` implements that fast path in one call: PUDs,
+the examination sort and the construction.  It keeps no state between
+passes: every fixed field is read from the ``Job`` and its
+``TaskSpec``, so there is nothing to invalidate when the jobs change or
+a checkpoint is restored.
 """
 
 from __future__ import annotations
@@ -41,14 +42,6 @@ from bisect import bisect_right
 from repro.core.feasibility import is_feasible
 from repro.core.interface import PassResult
 from repro.tasks.job import Job
-
-#: One candidate, in PUD-examination order: ``(-pud, ct, name, index,
-#: remaining, job)``.  The leading fields are the examination sort key
-#: (non-increasing PUD, then earlier absolute critical time ``ct``, then
-#: name, then ``index``, the job's input position, so two jobs are never
-#: compared); ``remaining`` is the job's remaining demand snapshot for
-#: this pass.
-Entry = tuple[float, int, str, int, int, Job]
 
 
 def _insert_sorted(schedule: list[Job], effective_ct: dict[Job, int],
@@ -135,14 +128,48 @@ def build_rua_schedule(pud_order: list[Job],
     return schedule
 
 
-def build_singleton_schedule(entries: list[Entry], now: int) -> list[Job]:
-    """Section 3.4 construction specialized to singleton chains.
+def singleton_pass(jobs: list[Job], now: int, *, victims: int = 0,
+                   chain_len_max: int = 0) -> PassResult:
+    """Steps 2, 4 and 5 of RUA over singleton chains: inline PUDs, the
+    non-increasing-PUD sort and the Section 3.4 construction specialized
+    to singleton chains.
 
-    ``entries`` lists the candidates in non-increasing PUD order (the
-    sorted :data:`Entry` tuples).  Produces exactly the schedule
-    :func:`build_rua_schedule` would for ``chains = {job: [job]}`` — the
-    equivalence is pinned by a hypothesis property test.
+    The PUD is :func:`repro.core.pud.chain_pud` over a one-job chain,
+    same arithmetic; the remaining demand is ``Job.remaining_time``
+    inlined over the task's ``body_suffix`` and ``durations`` tables.
+    Plain tuples sort on ``(-pud, critical time, name)``; the input
+    position settles any tie left (task names are not checked for
+    uniqueness) just as the reference's stable sort does, so two jobs
+    are never compared.  The order produced is exactly the one
+    :func:`build_rua_schedule` builds from that examination order with
+    ``chains = {job: [job]}`` — hypothesis property tests pin it.
+    ``victims`` and ``chain_len_max`` pass through to the result.
     """
+    # One candidate: ``(-pud, ct, name, index, remaining, job)``.  The
+    # leading fields are the examination sort key (non-increasing PUD,
+    # then earlier absolute critical time ``ct``, then name, then
+    # ``index``, the job's input position); ``remaining`` is the job's
+    # remaining demand snapshot for this pass.
+    entries = []
+    append = entries.append
+    index = 0
+    for job in jobs:
+        task = job.task
+        segment = job.segment_index
+        progress = job.segment_progress
+        duration = task.durations[segment]
+        # max(tail - progress, tail - duration): an injected overrun can
+        # push progress past the declared duration.
+        tail = task.body_suffix[segment]
+        remaining = tail - (progress if progress < duration else duration)
+        if remaining <= 0:
+            pud = float("inf")
+        else:
+            utility = task.tuf.utility(now + remaining - job.release_time)
+            pud = (0.0 + utility) / remaining
+        append((-pud, job.critical_time_abs, job.name, index, remaining, job))
+        index += 1
+    entries.sort()
     schedule: list[Job] = []
     cts: list[int] = []
     completions: list[int] = []
@@ -184,43 +211,5 @@ def build_singleton_schedule(entries: list[Entry], now: int) -> list[Job]:
             for i in range(position + 1, size):
                 completions[i] += remaining
             end += remaining
-    return schedule
-
-
-def singleton_pass(jobs: list[Job], now: int, *, victims: int = 0,
-                   chain_len_max: int = 0) -> PassResult:
-    """Steps 2, 4 and 5 of RUA over singleton chains: inline PUDs, the
-    non-increasing-PUD sort and :func:`build_singleton_schedule`.
-
-    The PUD is :func:`repro.core.pud.chain_pud` over a one-job chain,
-    same arithmetic; the remaining demand is ``Job.remaining_time``
-    inlined over the task's ``body_suffix`` and ``durations`` tables.
-    Plain tuples sort on ``(-pud, critical time, name)``; the input
-    position settles any tie left (task names are not checked for
-    uniqueness) just as the reference's stable sort does, so two jobs
-    are never compared.  ``victims`` and ``chain_len_max`` pass through
-    to the result.
-    """
-    entries = []
-    append = entries.append
-    index = 0
-    for job in jobs:
-        task = job.task
-        segment = job.segment_index
-        progress = job.segment_progress
-        duration = task.durations[segment]
-        # max(tail - progress, tail - duration): an injected overrun can
-        # push progress past the declared duration.
-        tail = task.body_suffix[segment]
-        remaining = tail - (progress if progress < duration else duration)
-        if remaining <= 0:
-            pud = float("inf")
-        else:
-            utility = task.tuf.utility(now + remaining - job.release_time)
-            pud = (0.0 + utility) / remaining
-        append((-pud, job.critical_time_abs, job.name, index, remaining, job))
-        index += 1
-    entries.sort()
-    order = build_singleton_schedule(entries, now)
-    return PassResult(order=order, rejections=len(jobs) - len(order),
+    return PassResult(order=schedule, rejections=index - size,
                       victims=victims, chain_len_max=chain_len_max)

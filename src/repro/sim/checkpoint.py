@@ -229,10 +229,7 @@ def _sorted_objs(objs) -> list:
 
 
 def _encode_record(record: JobRecord) -> list:
-    return [record.task_name, record.jid, record.release_time,
-            record.completion_time, record.accrued_utility,
-            record.max_utility, record.retries, record.blockings,
-            record.preemptions, record.aborted]
+    return list(record)
 
 
 def _decode_record(row: list) -> JobRecord:

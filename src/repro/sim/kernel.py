@@ -201,11 +201,9 @@ class Kernel:
         #: Segment-boundary tables of this run's sync mode.
         self._finish = self._FINISH[config.sync]
         self._next = self._NEXT[config.sync]
-        #: Entry of a shared-object access: only lock-free sharing runs
-        #: a protocol there (lock-based entry is the dispatch walk).
-        self._enter_access = (Kernel._enter_lockfree_access
-                              if config.sync is SyncMode.LOCK_FREE
-                              else Kernel._enter_plain)
+        #: Only lock-free sharing runs a protocol at the entry of a
+        #: shared-object access (lock-based entry is the dispatch walk).
+        self._lockfree = config.sync is SyncMode.LOCK_FREE
         # --- fault injection / graceful degradation -------------------
         degradation_active = (
             (config.fault_plan is not None and not config.fault_plan.empty)
@@ -230,6 +228,13 @@ class Kernel:
         # jid counters continue past each declared trace so injected
         # burst arrivals get unique job names.
         self._next_jid = [len(t) for t in config.arrival_traces]
+        #: The fixed kernel costs, read once.  The hot charge sites use
+        #: them only while no injector runs; under one, every charge goes
+        #: through ``_cost`` so jitter draws exactly as it always has.
+        costs = config.costs
+        self._switch_cost = costs.context_switch
+        self._lock_cost = costs.lock_overhead
+        self._cas_cost = costs.cas_overhead
         # --- crash recovery -------------------------------------------
         #: Snapshots collected when checkpointing is on but no sink is
         #: configured (tests and in-process consumers read this).
@@ -507,7 +512,8 @@ class Kernel:
         unlock request, so a scheduling event (lock-based sharing)."""
         self._release_lock(job, segment.obj)
         job.finish_segment()
-        cost = self._cost("lock_overhead")
+        cost = (self._lock_cost if self._injector is None
+                else self._cost("lock_overhead"))
         self._result.lock_mechanism_time += cost
         self._reschedule(extra_overhead=cost, lock_event=True)
 
@@ -544,30 +550,31 @@ class Kernel:
         if self.tracer.enabled:
             self.tracer.emit(self._clock, TraceKind.ACCESS_BEGIN,
                              job.name, detail=str(segment.obj))
-        cost = self._cost("lock_overhead")
+        cost = (self._lock_cost if self._injector is None
+                else self._cost("lock_overhead"))
         self._result.lock_mechanism_time += cost
         self._reschedule(extra_overhead=cost, lock_event=True)
 
     def _keep_running(self, job: Job, segment) -> None:
         """A compute segment, or an access that needs no lock: keep
         running without a scheduler pass."""
-        enter = (self._enter_access if type(segment) is ObjectAccess
-                 else Kernel._enter_plain)
-        since = self._clock + enter(self, job, segment, True)
+        since = self._clock
+        if type(segment) is ObjectAccess and self._lockfree:
+            since += self._enter_lockfree_access(job, segment, True)
+        elif self._injector is not None:
+            self._inject_overrun(job)
         self._running_since = since
         self._queue.push(
             since + segment.duration + job.segment_extra
             - job.segment_progress,
             _MILESTONE, Milestone(job, job.dispatch_token))
 
-    # --- Entry: prepare ``segment`` for execution; return the extra
-    # mechanism delay (CAS attempt cost, retry backoff) before work
-    # starts.  Lock-based entry is the dispatch walk's acquisition. ----
-
-    def _enter_plain(self, job: Job, segment, trace: bool) -> int:
-        if self._injector is not None and segment is not None:
-            self._inject_overrun(job)
-        return 0
+    # --- Entry: prepare ``segment`` for execution.  A lock-free access
+    # runs its protocol and returns the extra mechanism delay (CAS
+    # attempt cost, retry backoff) before work starts; any other segment
+    # only takes the fault plan's overrun, so with no injector there is
+    # nothing to call.  Lock-based entry is the dispatch walk's
+    # acquisition. ------------------------------------------------------
 
     def _enter_lockfree_access(self, job: Job, segment: ObjectAccess,
                                trace: bool) -> int:
@@ -579,7 +586,8 @@ class Kernel:
             if trace and self.tracer.enabled:
                 self.tracer.emit(self._clock, TraceKind.ACCESS_BEGIN,
                                  job.name, detail=str(segment.obj))
-            cost = self._cost("cas_overhead")
+            cost = (self._cas_cost if self._injector is None
+                    else self._cost("cas_overhead"))
             self._result.lockfree_mechanism_time += cost
             return cost
         if self._objects.must_retry(job):
@@ -593,7 +601,8 @@ class Kernel:
                 self._monitors.note_retry(self._clock, job)
             if self.obs.enabled:
                 self._note_retry_obs(job, segment.obj, wasted)
-            cost = self._cost("cas_overhead")
+            cost = (self._cas_cost if self._injector is None
+                    else self._cost("cas_overhead"))
             self._result.lockfree_mechanism_time += cost + wasted
             if self.config.retry_guard is not None:
                 backoff = self.config.retry_guard.backoff(
@@ -699,6 +708,7 @@ class Kernel:
         result = self._result
         lock_based = config.sync is SyncMode.LOCK_BASED
         lock_view = self._locks if lock_based else None
+        pass_costs = self._pass_costs
         wall_start = obs.clock() if obs.enabled else 0
         while True:
             # The live set is maintained incrementally (arrival append,
@@ -706,7 +716,9 @@ class Kernel:
             # former re-filtering scan.
             live = self._live
             n = len(live)
-            pass_cost = self._pass_cost(n)
+            pass_cost = pass_costs.get(n)
+            if pass_cost is None:
+                pass_cost = self._pass_cost(n)
             cost += pass_cost
             result.scheduler_invocations += 1
             passes += 1
@@ -714,16 +726,16 @@ class Kernel:
             # Deadlock resolution (Section 3.3): the policy may request
             # aborts; each abort changes the dependency structure, so the
             # pass reruns (with its cost charged) until no victim remains.
-            victims = policy.consume_abort_requests()
-            if victims:
-                for victim in victims:
+            if policy.abort_requests:
+                for victim in policy.consume_abort_requests():
                     if victim.is_live:
                         self._abort(victim)
                         cost += (self._cost("timer_overhead")
                                  + victim.task.abort_handler_time)
                 continue
             if lock_based:
-                chosen, blocked_any, walk_cost = self._walk(order, n, now)
+                chosen, blocked_any, walk_cost = self._walk(order, pass_cost,
+                                                            now)
                 cost += walk_cost
             else:
                 # No lock to acquire: the first READY or RUNNING job.
@@ -778,12 +790,13 @@ class Kernel:
             result.lock_mechanism_time += pass_cost
         self._dispatch(chosen, cost)
 
-    def _walk(self, order: list[Job], n: int,
+    def _walk(self, order: list[Job], pass_cost: int,
               now: int) -> tuple[Job | None, bool, int]:
         """Walk the policy's eligibility order to the first dispatchable
         job, attempting lock acquisitions along the way (lock-based
-        sharing).  Returns (chosen, whether any job newly blocked, extra
-        cost charged)."""
+        sharing); each failed acquisition charges another ``pass_cost``.
+        Returns (chosen, whether any job newly blocked, extra cost
+        charged)."""
         blocked_any = False
         extra_cost = 0
         for job in order:
@@ -793,7 +806,7 @@ class Kernel:
             # At the entry of an access it has not acquired yet?
             segment = job.task.segment_at[job.segment_index]
             if (type(segment) is not ObjectAccess
-                    or segment.obj in self._locks.held_by(job)):
+                    or segment.obj in job.held_locks):
                 return job, blocked_any, extra_cost
             obj = segment.obj
             if self._locks.try_acquire(job, obj):
@@ -816,9 +829,8 @@ class Kernel:
                                    f"blocked:{obj}", "lock",
                                    job.task.name, now)
             # The failed acquisition re-activates the scheduler.
-            activation = self._pass_cost(n)
-            extra_cost += activation
-            self._result.lock_mechanism_time += activation
+            extra_cost += pass_cost
+            self._result.lock_mechanism_time += pass_cost
             self._result.scheduler_invocations += 1
         return None, blocked_any, extra_cost
 
@@ -860,12 +872,14 @@ class Kernel:
             return
         start = busy_from + cost
         if switching:
-            start += self._cost("context_switch")
+            start += (self._switch_cost if self._injector is None
+                      else self._cost("context_switch"))
         self._kernel_free_at = start
         segment = chosen.task.segment_at[chosen.segment_index]
-        enter = (self._enter_access if type(segment) is ObjectAccess
-                 else Kernel._enter_plain)
-        start += enter(self, chosen, segment, switching)
+        if type(segment) is ObjectAccess and self._lockfree:
+            start += self._enter_lockfree_access(chosen, segment, switching)
+        elif self._injector is not None and segment is not None:
+            self._inject_overrun(chosen)
         chosen.state = JobState.RUNNING
         chosen.dispatch_token += 1
         self._running = chosen

@@ -15,17 +15,25 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.tasks.job import Job, JobState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.faults.report import DegradationReport
 
+#: The two finished states, tested by identity when recording a job.
+_COMPLETED = JobState.COMPLETED
+_ABORTED = JobState.ABORTED
 
-@dataclass(frozen=True)
-class JobRecord:
-    """Immutable summary of one finished (completed or aborted) job."""
+
+class JobRecord(NamedTuple):
+    """Immutable summary of one finished (completed or aborted) job.
+
+    A tuple, so recording a finished job builds one object with no
+    per-field attribute writes; its field order is the checkpoint row
+    format (``JobRecord(*row)`` reads a row back).
+    """
 
     task_name: str
     jid: int
@@ -51,20 +59,14 @@ class JobRecord:
 
 def record_of(job: Job) -> JobRecord:
     """Snapshot a finished job into a :class:`JobRecord`."""
-    if job.is_live:
+    state = job.state
+    if state is not _COMPLETED and state is not _ABORTED:
         raise ValueError(f"{job.name} is still live")
-    return JobRecord(
-        task_name=job.task.name,
-        jid=job.jid,
-        release_time=job.release_time,
-        completion_time=job.completion_time,
-        accrued_utility=job.accrued_utility,
-        max_utility=job.task.tuf.max_utility,
-        retries=job.retries,
-        blockings=job.blockings,
-        preemptions=job.preemptions,
-        aborted=job.state is JobState.ABORTED,
-    )
+    task = job.task
+    return JobRecord(task.name, job.jid, job.release_time,
+                     job.completion_time, job.accrued_utility,
+                     task.max_utility, job.retries, job.blockings,
+                     job.preemptions, state is _ABORTED)
 
 
 @dataclass

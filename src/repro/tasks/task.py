@@ -49,6 +49,9 @@ class TaskSpec:
     #: ``task.segment_at[job.segment_index]``, with no bounds test and
     #: no call.
     segment_at: tuple[Segment | None, ...] = field(init=False, repr=False)
+    #: ``tuf.max_utility``, read once: every finished job's record
+    #: carries it.
+    max_utility: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -74,6 +77,7 @@ class TaskSpec:
         object.__setattr__(self, "durations",
                            (*(segment.duration for segment in self.body), 0))
         object.__setattr__(self, "segment_at", (*self.body, None))
+        object.__setattr__(self, "max_utility", self.tuf.max_utility)
 
     @property
     def critical_time(self) -> int:

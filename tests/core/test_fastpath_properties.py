@@ -1,14 +1,15 @@
-"""Property tests for the singleton-chain fast builder and pass.
+"""Property tests for the singleton-chain fast pass.
 
-1. ``build_singleton_schedule`` is decision-identical to the reference
-   ``build_rua_schedule`` whenever every dependency chain is a singleton
-   (always true under lock-free sharing) — including equal critical
-   times, where examination order alone settles the ECF order, and
-   candidates that all land at the end of the ECF array.
+1. ``singleton_pass`` builds exactly the schedule the reference
+   ``build_rua_schedule`` builds from the same examination order
+   whenever every dependency chain is a singleton (always true under
+   lock-free sharing) — for any examination order, including equal
+   critical times, where examination order alone settles the ECF
+   order, and candidates that all land at the end of the ECF array.
 2. ``singleton_pass`` (PUDs over each job's own fields, the sort and
-   the builder) orders exactly like the reference pass, including zero
-   remaining demand (infinite PUD), a live set that changes between
-   passes, and a pass over one job.
+   the construction) orders exactly like the reference pass, including
+   zero remaining demand (infinite PUD), a live set that changes
+   between passes, and a pass over one job.
 3. Lock-based RUA still builds real dependency chains when a lock is
    held and a job waits for it, on the fast and the reference path.
 """
@@ -21,11 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.arrivals import UAMSpec
 from repro.core.pud import chain_pud
 from repro.core.rua_lockbased import LockBasedRUA
-from repro.core.schedule_builder import (
-    build_rua_schedule,
-    build_singleton_schedule,
-    singleton_pass,
-)
+from repro.core.schedule_builder import build_rua_schedule, singleton_pass
 from repro.sim.locks import LockManager
 from repro.tasks import Compute, Job, ObjectAccess, TaskSpec
 from repro.tuf import LinearDecreasingTUF, StepTUF
@@ -47,22 +44,53 @@ def _make_jobs(spec: list[tuple[int, int]], release: int = 0,
     return jobs
 
 
-def _entries(jobs: list[Job]) -> list[tuple]:
-    """Builder entries in the given examination order (the sort-key
-    fields the builder does not read are placeholders)."""
-    return [(0.0, job.critical_time_abs, job.name, index,
-             job.remaining_time(), job)
-            for index, job in enumerate(jobs)]
+def _ranked_jobs(spec: list[tuple[int, int]]) -> list[Job]:
+    """spec: (compute >= 1, critical) per job, in the order the pass is
+    to examine them.  The job at rank ``r`` gets a step TUF of height
+    ``(len(spec) - r) * compute``: its PUD is ``len(spec) - r`` for as
+    long as it can still accrue utility."""
+    jobs = []
+    for rank, (compute, critical) in enumerate(spec):
+        task = TaskSpec(
+            name=f"J{rank}",
+            arrival=UAMSpec(1, 1, critical),
+            tuf=StepTUF(critical_time=critical,
+                        height=float((len(spec) - rank) * compute)),
+            body=(Compute(compute),),
+        )
+        jobs.append(Job(task=task, jid=0, release_time=0))
+    return jobs
+
+
+def _pud_order(jobs: list[Job], now: int) -> list[Job]:
+    """The reference examination order: chain PUDs, a stable sort."""
+    puds = {job: chain_pud([job], now) for job in jobs}
+    return sorted(jobs, key=lambda job: (-puds[job], job.critical_time_abs,
+                                         job.name))
+
+
+def _reference_schedule(order: list[Job], now: int) -> list[Job]:
+    """The copying Section 3.4 builder over singleton chains, examining
+    the jobs in ``order``."""
+    return build_rua_schedule(order, {job: [job] for job in order}, now)
 
 
 def _reference_pass(jobs: list[Job], now: int) -> list[Job]:
     """The lock-free reference pass: chain PUDs, a stable sort, the
     copying Section 3.4 builder."""
-    chains = {job: [job] for job in jobs}
-    puds = {job: chain_pud(chains[job], now) for job in jobs}
-    order = sorted(jobs, key=lambda job: (-puds[job], job.critical_time_abs,
-                                          job.name))
-    return build_rua_schedule(order, chains, now)
+    return _reference_schedule(_pud_order(jobs, now), now)
+
+
+def _ranked_pass_matches_reference(jobs: list[Job], now: int) -> None:
+    """``singleton_pass`` over ``jobs`` in reverse input order equals the
+    reference builder over the ranked examination order; every job that
+    can still accrue utility is examined in rank order."""
+    examined = _pud_order(jobs, now)
+    accruing = [job for job in jobs if chain_pud([job], now) > 0]
+    assert [job for job in examined if job in accruing] == accruing
+    fast = singleton_pass(jobs[::-1], now)
+    assert fast.order == _reference_schedule(examined, now)
+    assert fast.rejections == len(jobs) - len(fast.order)
 
 
 job_specs = st.lists(
@@ -78,40 +106,40 @@ tied_specs = st.lists(
     min_size=1, max_size=12,
 )
 
+#: Few distinct critical times and demands small enough that, up to
+#: ``now = 49``, every job can still accrue utility: the ranked PUDs
+#: alone set the examination order.
+ranked_tied_specs = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=150),
+              st.sampled_from([200, 400, 600])),
+    min_size=1, max_size=12,
+)
+
 
 @settings(max_examples=200, deadline=None)
 @given(spec=job_specs, order_seed=st.integers(0, 2**32 - 1))
 def test_singleton_builder_matches_reference(spec, order_seed):
-    jobs = _make_jobs(spec)
-    random.Random(order_seed).shuffle(jobs)     # arbitrary PUD order
-    reference = build_rua_schedule(jobs, {job: [job] for job in jobs},
-                                   now=0)
-    fast = build_singleton_schedule(_entries(jobs), now=0)
-    assert fast == reference
+    random.Random(order_seed).shuffle(spec)     # arbitrary PUD order
+    _ranked_pass_matches_reference(_ranked_jobs(spec), now=0)
 
 
 @settings(max_examples=200, deadline=None)
-@given(spec=tied_specs, order_seed=st.integers(0, 2**32 - 1),
-       now=st.integers(0, 100))
+@given(spec=ranked_tied_specs, order_seed=st.integers(0, 2**32 - 1),
+       now=st.integers(0, 49))
 def test_equal_critical_times_keep_examination_order(spec, order_seed, now):
     """With equal critical times the ECF position of a job is decided
     by when it was examined: a later one lands after the earlier ones."""
-    jobs = _make_jobs(spec)
-    random.Random(order_seed).shuffle(jobs)
-    reference = build_rua_schedule(jobs, {job: [job] for job in jobs},
-                                   now=now)
-    assert build_singleton_schedule(_entries(jobs), now=now) == reference
+    random.Random(order_seed).shuffle(spec)
+    _ranked_pass_matches_reference(_ranked_jobs(spec), now)
 
 
 @settings(max_examples=200, deadline=None)
-@given(spec=tied_specs, now=st.integers(0, 100))
+@given(spec=ranked_tied_specs, now=st.integers(0, 49))
 def test_end_of_array_path_matches_reference(spec, now):
     """Examined in ECF order, every candidate lands at the end of the
     array: only the short path runs."""
-    jobs = sorted(_make_jobs(spec), key=lambda job: job.critical_time_abs)
-    reference = build_rua_schedule(jobs, {job: [job] for job in jobs},
-                                   now=now)
-    assert build_singleton_schedule(_entries(jobs), now=now) == reference
+    spec.sort(key=lambda entry: entry[1])
+    _ranked_pass_matches_reference(_ranked_jobs(spec), now)
 
 
 @settings(max_examples=200, deadline=None)

@@ -53,6 +53,20 @@ class TestLLF:
 
 
 class TestLockFreeRUA:
+    @pytest.mark.parametrize("reference", [False, True])
+    @pytest.mark.parametrize("n_jobs", [0, 2])
+    def test_lock_manager_rejected(self, monkeypatch, reference, n_jobs):
+        """Handing lock-free RUA a lock manager is a misuse, refused on
+        the fast and the reference path, and before the empty-pass
+        shortcut."""
+        if reference:
+            monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+        else:
+            monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+        jobs = [_job(f"J{i}", 1000 * (i + 1)) for i in range(n_jobs)]
+        with pytest.raises(ValueError, match="lock-based sharing"):
+            LockFreeRUA().schedule(jobs, LockManager(), now=0)
+
     def test_underload_matches_edf_order(self):
         jobs = [_job("A", 3000), _job("B", 1000), _job("C", 2000)]
         rua = LockFreeRUA()

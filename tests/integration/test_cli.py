@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import FIGURES, main
+from repro.units import MS
 
 
 class TestQuick:
@@ -37,6 +38,38 @@ class TestFigure:
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
+
+    @pytest.fixture
+    def figure_calls(self, monkeypatch):
+        """Replace fig9 and fig10 by recorders of their arguments."""
+        from repro.experiments.figures import FigureResult
+
+        calls = []
+
+        def record(name):
+            def figure(**kwargs):
+                calls.append((name, kwargs))
+                return FigureResult(figure=name, title="t", x_label="x")
+            return figure
+
+        for name in ("fig9", "fig10"):
+            monkeypatch.setitem(FIGURES, name, record(name))
+        return calls
+
+    def test_fig9_gets_repeats_unchanged(self, figure_calls):
+        assert main(["figure", "fig9", "--repeats", "5"]) == 0
+        assert figure_calls == [("fig9", {"repeats": 5, "campaign": None})]
+
+    def test_fig9_rejects_horizon(self, figure_calls, capsys):
+        assert main(["figure", "fig9", "--horizon-ms", "50"]) == 2
+        assert "--horizon-ms" in capsys.readouterr().err
+        assert figure_calls == []
+
+    def test_other_figures_default_horizon_100_ms(self, figure_calls):
+        assert main(["figure", "fig10"]) == 0
+        assert main(["figure", "fig10", "--horizon-ms", "30"]) == 0
+        assert [kwargs["horizon"] for _, kwargs in figure_calls] == [
+            100 * MS, 30 * MS]
 
 
 class TestRetryBound:

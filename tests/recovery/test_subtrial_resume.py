@@ -86,6 +86,21 @@ class TestCheckpointStore:
         assert [e["attempt"] for e in lineage] == [0, 1]
         assert store.lineage(99) == []
 
+    @pytest.mark.parametrize("text", ['[{"attempt": 0}, {"attem',
+                                      '{"attempt": 0}'])
+    def test_bad_lineage_quarantined_not_overwritten(self, tmp_path, text):
+        """A torn or non-list sidecar is kept as evidence in
+        ``quarantine/``; the next attempt starts a fresh list."""
+        store = CheckpointStore(tmp_path)
+        path = store.lineage_path(4)
+        path.write_text(text, encoding="utf-8")
+        store.note_attempt(4, {"attempt": 1})
+        assert store.lineage(4) == [{"attempt": 1}]
+        assert store.corrupt == 1
+        [kept] = store.quarantined()
+        assert kept.name.startswith(path.name)
+        assert kept.read_text(encoding="utf-8") == text
+
 
 class TestSerialResume:
     def test_checkpointed_value_matches_plain(self, tmp_path):
