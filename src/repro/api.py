@@ -102,7 +102,8 @@ def simulate(scenario: Scenario, *, observer=None, checkpoints=None,
     """Run one :class:`~repro.scenario.Scenario`.
 
     ``observer=`` attaches a recording :class:`repro.obs.Observer`; its
-    end-of-run summary lands on ``summary.result.obs``.  The scenario's
+    end-of-run summary lands on ``summary.result.obs``; a scenario with
+    ``trace=True`` and no ``observer=`` gets a fresh one.  The scenario's
     fault/degradation fields (see :mod:`repro.faults`) inject a
     deterministic fault plan, guard UAM admission, bound lock-free
     retries and attach the runtime invariant monitors; the run's
@@ -126,6 +127,10 @@ def simulate(scenario: Scenario, *, observer=None, checkpoints=None,
         policy = LLF()
     if scenario.costs is not None:
         costs = scenario.costs
+    if observer is None and scenario.trace:
+        from repro.obs.observer import Observer
+
+        observer = Observer()
     config = SimulationConfig(
         tasks=tasks,
         arrival_traces=traces,
@@ -134,7 +139,6 @@ def simulate(scenario: Scenario, *, observer=None, checkpoints=None,
         sync=mode,
         costs=costs,
         retry_policy=scenario.retry_policy,
-        trace=scenario.trace,
         fault_plan=scenario.faults,
         admission=scenario.admission,
         retry_guard=scenario.retry_guard,

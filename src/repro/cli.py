@@ -605,7 +605,7 @@ def _cmd_profile(args) -> int:
                f"seed={args.seed} wall={prof.wall_s:.3f}s"))
     print(text)
     if args.trace:
-        write_chrome_trace(args.trace, prof.observer, prof.tracer)
+        write_chrome_trace(args.trace, prof.observer)
         print(f"chrome trace written to {args.trace} "
               f"(load in chrome://tracing or ui.perfetto.dev)")
     if args.jsonl:

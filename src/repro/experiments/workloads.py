@@ -26,7 +26,7 @@ from typing import Any
 from repro.arrivals.spec import UAMSpec
 from repro.tasks.segments import AccessKind
 from repro.tasks.task import TaskSpec
-from repro.tasks.taskset import make_task, scale_to_load
+from repro.tasks.taskset import load_scale, make_task, scale_to_load
 from repro.tuf.catalog import heterogeneous_tuf_mix, step_tuf_mix
 from repro.units import US
 
@@ -70,6 +70,8 @@ def paper_taskset(rng: random.Random,
         tufs = heterogeneous_tuf_mix(criticals)
     else:
         raise ValueError(f"unknown tuf_class {tuf_class!r}")
+    scale = load_scale(computes, [tuf.critical_time for tuf in tufs],
+                       target_load)
     tasks = []
     for index in range(n_tasks):
         if n_objects and accesses_per_job:
@@ -87,8 +89,9 @@ def paper_taskset(rng: random.Random,
             compute=computes[index],
             accesses=accesses,
             access_kind=access_kind,
+            scale=scale,
         ))
-    return scale_to_load(tasks, target_load)
+    return tasks
 
 
 def scaled_paper_taskset(rng: random.Random, target_load: float,
@@ -164,6 +167,7 @@ def readers_taskset(rng: random.Random,
     ]
     criticals = [int(w * rng.uniform(0.90, 1.0)) for w in windows]
     tufs = heterogeneous_tuf_mix(criticals)
+    scale = load_scale(computes, [tuf.critical_time for tuf in tufs], load)
     tasks = []
     for index in range(n_tasks):
         kind = AccessKind.WRITE if index < n_writers else AccessKind.READ
@@ -179,8 +183,9 @@ def readers_taskset(rng: random.Random,
             compute=computes[index],
             accesses=accesses,
             access_kind=kind,
+            scale=scale,
         ))
-    return scale_to_load(tasks, load)
+    return tasks
 
 
 # ----------------------------------------------------------------------

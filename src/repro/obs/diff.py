@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 #: Lanes that carry kernel machinery, not per-task work.
-_NON_TASK_TIDS = frozenset({"kernel", "trace"})
+_NON_TASK_TIDS = frozenset({"kernel"})
 
 
 class TraceFormatError(ValueError):

@@ -24,13 +24,10 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.campaign.io import atomic_write
 from repro.obs.observer import Observer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.tracing import Tracer
 
 _PID = 1
 
@@ -46,8 +43,7 @@ def _tid_table(observer: Observer) -> dict[str, int]:
     return table
 
 
-def chrome_trace(observer: Observer,
-                 tracer: "Tracer | None" = None) -> dict[str, Any]:
+def chrome_trace(observer: Observer) -> dict[str, Any]:
     """Build the trace-event JSON document (pure; no I/O)."""
     tids = _tid_table(observer)
     events: list[dict[str, Any]] = []
@@ -71,24 +67,12 @@ def chrome_trace(observer: Observer,
             "ph": "C", "name": sample.name, "pid": _PID, "tid": 0,
             "ts": sample.ts / 1000.0, "args": {"value": sample.value},
         })
-    if tracer is not None and tracer.events:
-        kernel_tid = max(tids.values(), default=0) + 1
-        events.append({"ph": "M", "name": "thread_name", "pid": _PID,
-                       "tid": kernel_tid, "args": {"name": "trace"}})
-        for event in tracer.events:
-            events.append({
-                "ph": "i", "s": "t", "name": event.kind.value,
-                "cat": "trace", "pid": _PID, "tid": kernel_tid,
-                "ts": event.time / 1000.0,
-                "args": {"job": event.job, "detail": event.detail},
-            })
     return {"traceEvents": events, "displayTimeUnit": "ns"}
 
 
-def write_chrome_trace(path: str | os.PathLike, observer: Observer,
-                       tracer: "Tracer | None" = None) -> Path:
+def write_chrome_trace(path: str | os.PathLike, observer: Observer) -> Path:
     """Serialize and atomically write the Chrome trace to ``path``."""
-    document = chrome_trace(observer, tracer)
+    document = chrome_trace(observer)
     return atomic_write(path, json.dumps(document, sort_keys=True,
                                          separators=(",", ":")) + "\n")
 

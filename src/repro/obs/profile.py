@@ -2,9 +2,9 @@
 
 Builds a workload (the paper's step / heterogeneous task sets or the
 Theorem 2 interference set), attaches a recording
-:class:`~repro.obs.observer.Observer` plus the kernel tracer, runs the
-simulation, and hands back everything the exporters need: the observer,
-the tracer, the simulation result and the wall time of the run.
+:class:`~repro.obs.observer.Observer`, runs the simulation, and hands
+back everything the exporters need: the observer, the simulation result
+and the wall time of the run.
 
 The simulation itself is seeded and deterministic; only ``wall_s`` and
 the observer's decision samples vary across runs, and neither enters the
@@ -39,7 +39,6 @@ class ProfileResult:
     aur: float
     cmr: float
     observer: Observer
-    tracer: Any          # repro.sim.tracing.Tracer
     result: Any          # repro.sim.metrics.SimulationResult
 
     def headline(self) -> dict[str, Any]:
@@ -137,7 +136,6 @@ def run_profile(workload: str = "step",
         sync=mode,
         costs=costs,
         retry_policy=retry,
-        trace=True,
         observer=obs,
     )
     kernel = Kernel(config)
@@ -153,6 +151,5 @@ def run_profile(workload: str = "step",
         aur=result.aur,
         cmr=result.cmr,
         observer=obs,
-        tracer=kernel.tracer,
         result=result,
     )

@@ -28,6 +28,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.sim.objects": ("LockFreeObjectTable", "RetryPolicy"),
     "repro.sim.kernel": ("Kernel", "SimulationConfig", "SyncMode"),
     "repro.sim.metrics": ("JobRecord", "SimulationResult"),
-    "repro.sim.tracing": ("TraceEvent", "Tracer"),
     "repro.sim.gantt": ("render_gantt",),
 })

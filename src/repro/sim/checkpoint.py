@@ -7,8 +7,8 @@ survive), every job's segment progress and synchronization state, the
 :class:`~repro.sim.locks.LockManager` and NBW
 :class:`~repro.sim.objects.LockFreeObjectTable` tables, the UAM
 admission-guard window counters, the fault injector's RNG stream and
-one-shot bookkeeping, the monitor suite's dedup state, the accumulated
-:class:`~repro.sim.metrics.SimulationResult`, and the trace buffer.
+one-shot bookkeeping, the monitor suite's dedup state and the
+accumulated :class:`~repro.sim.metrics.SimulationResult`.
 
 The restore contract is the same equivalence discipline PR 5 set for the
 fast path: ``restore(config, snapshot).run()`` finishes to a
@@ -42,7 +42,6 @@ from repro.sim.engine import EventQueue
 from repro.sim.events import CriticalTimeExpiry, JobArrival, Milestone
 from repro.sim.metrics import JobRecord, SimulationResult
 from repro.sim.objects import _ObjectState, _OpenAccess
-from repro.sim.tracing import TraceEvent, TraceKind
 from repro.tasks.job import Job, JobState
 from repro.tasks.segments import AccessKind
 
@@ -427,8 +426,6 @@ def snapshot_kernel(kernel: "Kernel") -> KernelCheckpoint:
             "flagged": sorted(list(key)
                               for key in kernel._monitors._flagged),
         }
-    if kernel.tracer.enabled:
-        state["trace"] = [event.to_dict() for event in kernel.tracer.events]
 
     return KernelCheckpoint.wrap(state)
 
@@ -575,12 +572,8 @@ def restore_kernel(config: "SimulationConfig",
         monitors._last_clock = state["monitors"]["last_clock"]
         monitors._flagged = {tuple(key)
                              for key in state["monitors"]["flagged"]}
-    if "trace" in state and kernel.tracer.enabled:
-        kernel.tracer.events = [
-            TraceEvent(time=doc["time"], kind=TraceKind(doc["kind"]),
-                       job=doc["job"], detail=doc["detail"])
-            for doc in state["trace"]
-        ]
+    # Older v2 checkpoints of traced runs also carry a ``trace`` key of
+    # kernel events; nothing is restored from it.
 
     # An abort requested before the snapshot names a pre-restore job,
     # not one of the restored objects.

@@ -1,21 +1,22 @@
-"""ASCII Gantt rendering of kernel traces.
+"""ASCII Gantt rendering of an observed run.
 
-Turns a :class:`repro.sim.tracing.Tracer` into a per-task timeline —
-the quickest way to *see* preemptions, blocking waits, retries and
-aborts when debugging a scenario::
+Turns a recording :class:`repro.obs.Observer`'s event stream into a
+per-job timeline — the quickest way to *see* preemptions, blocking
+waits, retries and aborts when debugging a scenario::
 
-    kernel, result = ...  # run with trace=True
-    print(render_gantt(kernel.tracer, horizon=config.horizon))
+    kernel, result = ...  # run with observer=Observer()
+    print(render_gantt(kernel.obs, horizon=config.horizon))
 
-Lane characters: ``#`` running, ``!`` the instant of an abort, ``*`` the
-instant of a retry, ``.`` idle for that task.
+Execution comes from the kernel's ``exec`` spans.  Lane characters:
+``#`` running, ``!`` the instant of an abort, ``*`` the instant of a
+retry, ``.`` idle for that task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.tracing import TraceKind, Tracer
+from repro.obs.observer import Observer
 
 
 @dataclass(frozen=True)
@@ -25,48 +26,36 @@ class _Run:
     end: int
 
 
-def execution_runs(tracer: Tracer, horizon: int) -> list[_Run]:
-    """Reconstruct CPU occupancy intervals from dispatch/idle/terminal
-    events."""
+def _job_of(event) -> str | None:
+    return dict(event.args).get("job")
+
+
+def execution_runs(observer: Observer, horizon: int) -> list[_Run]:
+    """CPU occupancy intervals: the ``exec`` spans, with a span that
+    starts where the same job's previous one ended merged into it."""
     runs: list[_Run] = []
-    current: tuple[str, int] | None = None
-
-    def close(end: int) -> None:
-        nonlocal current
-        if current is None:
-            return
-        job, start = current
-        if end > start:
-            runs.append(_Run(job=job, start=start, end=min(end, horizon)))
-        current = None
-
-    for event in tracer.events:
-        if event.kind is TraceKind.DISPATCH:
-            close(event.time)
-            start = event.time
-            if event.detail.startswith("start="):
-                start = int(event.detail.split("=", 1)[1])
-            current = (event.job, start)
-        elif event.kind in (TraceKind.IDLE, TraceKind.PREEMPT):
-            close(event.time)
-        elif event.kind in (TraceKind.COMPLETE, TraceKind.ABORT):
-            if current is not None and current[0] == event.job:
-                close(event.time)
-    close(horizon)
+    for span in observer.spans:
+        if span.name != "exec":
+            continue
+        job = _job_of(span)
+        end = min(span.end, horizon)
+        if runs and runs[-1].job == job and runs[-1].end == span.start:
+            runs[-1] = _Run(job=job, start=runs[-1].start, end=end)
+        elif end > span.start:
+            runs.append(_Run(job=job, start=span.start, end=end))
     return runs
 
 
-def render_gantt(tracer: Tracer, horizon: int, width: int = 72) -> str:
+def render_gantt(observer: Observer, horizon: int, width: int = 72) -> str:
     """Render one lane per job, bucketed to ``width`` columns."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if width < 8:
         raise ValueError("width must be at least 8 columns")
-    runs = execution_runs(tracer, horizon)
-    jobs: list[str] = []
-    for event in tracer.events:
-        if event.job and event.job not in jobs:
-            jobs.append(event.job)
+    runs = execution_runs(observer, horizon)
+    jobs = list(dict.fromkeys(
+        job for job in map(_job_of, (*observer.instants, *observer.spans))
+        if job))
     lanes = {job: ["."] * width for job in jobs}
     scale = horizon / width
 
@@ -74,17 +63,14 @@ def render_gantt(tracer: Tracer, horizon: int, width: int = 72) -> str:
         return min(width - 1, int(t / scale))
 
     for run in runs:
-        lane = lanes.get(run.job)
-        if lane is None:
-            continue
+        lane = lanes[run.job]
         for col in range(column(run.start), column(max(run.start,
                                                        run.end - 1)) + 1):
             lane[col] = "#"
-    for event in tracer.events:
-        if event.kind is TraceKind.ABORT and event.job in lanes:
-            lanes[event.job][column(event.time)] = "!"
-        elif event.kind is TraceKind.RETRY and event.job in lanes:
-            lanes[event.job][column(event.time)] = "*"
+    markers = {"abort": "!", "retry": "*"}
+    for event in observer.instants:
+        if event.name in markers:
+            lanes[_job_of(event)][column(event.ts)] = markers[event.name]
     label_width = max((len(j) for j in jobs), default=4)
     header = (f"{'time':<{label_width}}  0{' ' * (width - 2)}"
               f"{horizon}")

@@ -59,7 +59,6 @@ from repro.sim.locks import LockManager
 from repro.sim.metrics import SimulationResult, record_of
 from repro.sim.objects import LockFreeObjectTable, RetryPolicy
 from repro.sim.overheads import KernelCosts
-from repro.sim.tracing import TraceKind, Tracer
 from repro.tasks.job import Job, JobState
 from repro.tasks.segments import Compute, ObjectAccess, ReleaseLock
 from repro.tasks.task import TaskSpec
@@ -109,7 +108,6 @@ class SimulationConfig:
     costs: KernelCosts = field(default_factory=KernelCosts)
     retry_policy: RetryPolicy = RetryPolicy.ON_CONFLICT
     allow_nesting: bool = False
-    trace: bool = False
     # --- fault injection & graceful degradation (all optional) ---------
     fault_plan: FaultPlan | None = None
     admission: AdmissionPolicy | None = None
@@ -171,7 +169,6 @@ class Kernel:
 
     def __init__(self, config: SimulationConfig) -> None:
         self.config = config
-        self.tracer = Tracer(enabled=config.trace)
         self.obs = (config.observer if config.observer is not None
                     else NULL_OBSERVER)
         # The policy shares the kernel's sink (scheduler-internal hooks).
@@ -316,6 +313,13 @@ class Kernel:
         self._result.unfinished = len(self._live)
         self._result.degradation = self._report
         if obs_enabled:
+            # The running job's last slice ends at the horizon, not at
+            # an event, so the loop above never recorded it.
+            job = self._running
+            if job is not None and horizon > self._running_since:
+                obs.span("exec", "cpu", job.task.name, self._running_since,
+                         horizon - self._running_since,
+                         {"job": job.name, "segment": job.segment_index})
             obs.close_open_spans(self._clock)
             self._result.obs = obs.summary()
         return self._result
@@ -393,16 +397,17 @@ class Kernel:
             decision, when = self._admission.decide(event.task_index,
                                                     self._clock)
             if decision is Decision.SHED:
-                self.tracer.emit(self._clock, TraceKind.SHED,
-                                 f"{task.name}#{event.jid}",
-                                 detail="UAM max bound exceeded")
-                self.obs.counter("kernel.shed")
+                if self.obs.enabled:
+                    self.obs.counter("kernel.shed")
+                    self.obs.instant("shed", "job", task.name, self._clock,
+                                     {"job": f"{task.name}#{event.jid}"})
                 return
             if decision is Decision.DEFER:
-                self.tracer.emit(self._clock, TraceKind.DEFER,
-                                 f"{task.name}#{event.jid}",
-                                 detail=f"until={when}")
-                self.obs.counter("kernel.deferrals")
+                if self.obs.enabled:
+                    self.obs.counter("kernel.deferrals")
+                    self.obs.instant("defer", "job", task.name, self._clock,
+                                     {"job": f"{task.name}#{event.jid}",
+                                      "until": when})
                 self._queue.push(when, EventPriority.ARRIVAL,
                                  JobArrival(task_index=event.task_index,
                                             jid=event.jid,
@@ -412,8 +417,6 @@ class Kernel:
         job = Job(task=task, jid=event.jid, release_time=self._clock)
         self._live.append(job)
         self._arm_critical_timer(job)
-        if self.tracer.enabled:
-            self.tracer.emit(self._clock, TraceKind.ARRIVAL, job.name)
         if self.obs.enabled:
             self.obs.counter("kernel.arrivals")
             self.obs.instant("arrival", "job", task.name, self._clock,
@@ -426,12 +429,12 @@ class Kernel:
         if self._injector is not None:
             drop, delay = self._injector.timer_disposition(job)
             if drop:
-                self.tracer.emit(self._clock, TraceKind.FAULT, job.name,
-                                 detail="critical-time timer dropped")
+                if self.obs.enabled:
+                    self._note_fault(job, "critical-time timer dropped")
                 return
             if delay:
-                self.tracer.emit(self._clock, TraceKind.FAULT, job.name,
-                                 detail=f"critical-time timer +{delay}")
+                if self.obs.enabled:
+                    self._note_fault(job, f"critical-time timer +{delay}")
                 when += delay
         self._queue.push(when, EventPriority.TIMER,
                          CriticalTimeExpiry(job=job))
@@ -491,9 +494,6 @@ class Kernel:
         self._result.lockfree_access_commits += 1
         self._result.lockfree_attempts += 1
         job.finish_segment()
-        if self.tracer.enabled:
-            self.tracer.emit(self._clock, TraceKind.ACCESS_COMMIT,
-                             job.name, detail=str(segment.obj))
         self._continue_running(job)
 
     def _end_critical_section(self, job: Job, segment: ObjectAccess) -> None:
@@ -523,14 +523,21 @@ class Kernel:
         job.held_locks.discard(obj)
         if job.holds_lock == obj:
             job.holds_lock = None
+        self._wake(woken)
+        if self.obs.enabled:
+            self.obs.instant("lock_release", "lock", job.task.name,
+                             self._clock, {"job": job.name, "obj": obj})
+
+    def _wake(self, woken: list[Job]) -> None:
+        """Unblock the waiters of a released lock."""
+        obs_enabled = self.obs.enabled
         for waiter in woken:
             waiter.state = JobState.READY
             waiter.blocked_on = None
-            self.tracer.emit(self._clock, TraceKind.UNBLOCK, waiter.name)
-            self.obs.close_span(("block", waiter.name), self._clock)
-        if self.tracer.enabled:
-            self.tracer.emit(self._clock, TraceKind.LOCK_RELEASE, job.name,
-                             detail=str(obj))
+            if obs_enabled:
+                self.obs.close_span(("block", waiter.name), self._clock)
+                self.obs.instant("unblock", "lock", waiter.task.name,
+                                 self._clock, {"job": waiter.name})
 
     # --- _NEXT: the running job reached ``segment`` with no pass -------
 
@@ -547,9 +554,6 @@ class Kernel:
     def _request_lock(self, job: Job, segment: ObjectAccess) -> None:
         """Lock request: a scheduling event.  The job stops here; the
         acquisition is attempted during the dispatch walk."""
-        if self.tracer.enabled:
-            self.tracer.emit(self._clock, TraceKind.ACCESS_BEGIN,
-                             job.name, detail=str(segment.obj))
         cost = (self._lock_cost if self._injector is None
                 else self._cost("lock_overhead"))
         self._result.lock_mechanism_time += cost
@@ -560,7 +564,7 @@ class Kernel:
         running without a scheduler pass."""
         since = self._clock
         if type(segment) is ObjectAccess and self._lockfree:
-            since += self._enter_lockfree_access(job, segment, True)
+            since += self._enter_lockfree_access(job, segment)
         elif self._injector is not None:
             self._inject_overrun(job)
         self._running_since = since
@@ -576,16 +580,12 @@ class Kernel:
     # nothing to call.  Lock-based entry is the dispatch walk's
     # acquisition. ------------------------------------------------------
 
-    def _enter_lockfree_access(self, job: Job, segment: ObjectAccess,
-                               trace: bool) -> int:
+    def _enter_lockfree_access(self, job: Job, segment: ObjectAccess) -> int:
         """The lock-free begin/retry protocol."""
         if self._injector is not None:
             self._inject_overrun(job)
         if self._objects.open_access_of(job) is None:
             self._objects.begin(job, segment)
-            if trace and self.tracer.enabled:
-                self.tracer.emit(self._clock, TraceKind.ACCESS_BEGIN,
-                                 job.name, detail=str(segment.obj))
             cost = (self._cas_cost if self._injector is None
                     else self._cost("cas_overhead"))
             self._result.lockfree_mechanism_time += cost
@@ -594,9 +594,6 @@ class Kernel:
             wasted = job.restart_access()
             self._objects.record_retry(job)
             self._result.lockfree_attempts += 1
-            if self.tracer.enabled:
-                self.tracer.emit(self._clock, TraceKind.RETRY, job.name,
-                                 detail=f"obj={segment.obj} wasted={wasted}")
             if self._monitors is not None:
                 self._monitors.note_retry(self._clock, job)
             if self.obs.enabled:
@@ -620,8 +617,13 @@ class Kernel:
             extra = self._injector.overrun_for(job)
             if extra:
                 job.segment_extra = extra
-                self.tracer.emit(self._clock, TraceKind.FAULT, job.name,
-                                 detail=f"segment overrun +{extra}")
+                if self.obs.enabled:
+                    self._note_fault(job, f"segment overrun +{extra}")
+
+    def _note_fault(self, job: Job, detail: str) -> None:
+        """An injected fault landed on ``job``."""
+        self.obs.instant("fault", "fault", job.task.name, self._clock,
+                         {"job": job.name, "detail": detail})
 
     #: Per sync mode: segment type -> boundary function.  Class-level
     #: tables of plain functions, like ``_HANDLERS``.
@@ -756,8 +758,9 @@ class Kernel:
                     and self._objects.must_retry(chosen)
                     and config.retry_guard.exhausted(
                         self._objects.retries_of(chosen))):
-                self.tracer.emit(now, TraceKind.FAULT, chosen.name,
-                                 detail="retry budget exhausted: aborting")
+                if obs.enabled:
+                    self._note_fault(chosen,
+                                     "retry budget exhausted: aborting")
                 self._abort(chosen)
                 cost += (self._cost("timer_overhead")
                          + chosen.task.abort_handler_time)
@@ -774,9 +777,6 @@ class Kernel:
         if self._monitors is not None and lock_based:
             self._monitors.audit_locks(
                 now, list(self._live), self._locks)
-        if self.tracer.enabled:
-            self.tracer.emit(now, TraceKind.SCHED_PASS, "",
-                             detail=f"n={n} cost={cost}")
         if obs.enabled:
             # Wall ns are summary-only (never exported into the trace);
             # the span carries the deterministic simulated cost.
@@ -812,17 +812,14 @@ class Kernel:
             if self._locks.try_acquire(job, obj):
                 job.holds_lock = obj
                 job.held_locks.add(obj)
-                if self.tracer.enabled:
-                    self.tracer.emit(now, TraceKind.LOCK_ACQUIRE,
-                                     job.name, detail=str(obj))
+                if self.obs.enabled:
+                    self.obs.instant("lock_acquire", "lock", job.task.name,
+                                     now, {"job": job.name, "obj": obj})
                 return job, blocked_any, extra_cost
             job.state = JobState.BLOCKED
             job.blocked_on = obj
             job.blockings += 1
             blocked_any = True
-            if self.tracer.enabled:
-                self.tracer.emit(now, TraceKind.BLOCK, job.name,
-                                 detail=str(obj))
             if self.obs.enabled:
                 self.obs.counter("kernel.blockings")
                 self.obs.open_span(("block", job.name),
@@ -851,10 +848,9 @@ class Kernel:
                 if (self._injector is not None
                         and self._injector.spurious_invalidate(
                             previous, self._objects)):
-                    self.tracer.emit(now, TraceKind.FAULT, previous.name,
-                                     detail="spurious access invalidation")
-            if self.tracer.enabled:
-                self.tracer.emit(now, TraceKind.PREEMPT, previous.name)
+                    if self.obs.enabled:
+                        self._note_fault(previous,
+                                         "spurious access invalidation")
             if self.obs.enabled:
                 self.obs.counter("kernel.preemptions")
                 self.obs.instant("preempt", "job", previous.task.name, now,
@@ -867,8 +863,8 @@ class Kernel:
         if chosen is None:
             self._running = None
             self._kernel_free_at = busy_from + cost
-            if self.tracer.enabled:
-                self.tracer.emit(now, TraceKind.IDLE, "")
+            if self.obs.enabled:
+                self.obs.instant("idle", "sched", "kernel", now)
             return
         start = busy_from + cost
         if switching:
@@ -877,16 +873,13 @@ class Kernel:
         self._kernel_free_at = start
         segment = chosen.task.segment_at[chosen.segment_index]
         if type(segment) is ObjectAccess and self._lockfree:
-            start += self._enter_lockfree_access(chosen, segment, switching)
+            start += self._enter_lockfree_access(chosen, segment)
         elif self._injector is not None and segment is not None:
             self._inject_overrun(chosen)
         chosen.state = JobState.RUNNING
         chosen.dispatch_token += 1
         self._running = chosen
         self._running_since = start
-        if self.tracer.enabled:
-            self.tracer.emit(now, TraceKind.DISPATCH, chosen.name,
-                             detail=f"start={start}")
         # The milestone: the instant the job finishes its current
         # segment.  A job dispatched past its last segment (its final
         # unlock was a scheduling event) reaches it at once.
@@ -906,9 +899,6 @@ class Kernel:
         job.completion_time = self._clock
         job.accrued_utility = job.task.tuf.utility(job.sojourn_time())
         self._result.records.append(record_of(job))
-        if self.tracer.enabled:
-            self.tracer.emit(self._clock, TraceKind.COMPLETE, job.name,
-                             detail=f"utility={job.accrued_utility:.3f}")
         if self.obs.enabled:
             self.obs.counter("kernel.completions")
             self.obs.histogram("job.sojourn_ns", job.sojourn_time())
@@ -933,16 +923,12 @@ class Kernel:
             woken = self._locks.release_all(job)
             job.holds_lock = None
             job.held_locks.clear()
-            for waiter in woken:
-                waiter.state = JobState.READY
-                waiter.blocked_on = None
-                self.tracer.emit(self._clock, TraceKind.UNBLOCK, waiter.name)
+            self._wake(woken)
         elif self.config.sync is SyncMode.LOCK_FREE:
             self._objects.abandon(job)
         if job is self._running:
             self._running = None
         self._result.records.append(record_of(job))
-        self.tracer.emit(self._clock, TraceKind.ABORT, job.name)
         if self.obs.enabled:
             self.obs.close_span(("block", job.name), self._clock)
             self.obs.counter("kernel.aborts")

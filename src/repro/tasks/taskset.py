@@ -29,15 +29,23 @@ def make_task(name: str,
               compute: int,
               accesses: list[tuple[int | str, int]] | None = None,
               access_kind: AccessKind = AccessKind.WRITE,
-              abort_handler_time: int = 0) -> TaskSpec:
+              abort_handler_time: int = 0,
+              scale: float | None = None) -> TaskSpec:
     """Build a task whose body interleaves computation with object
     accesses.
 
     ``compute`` ticks of computation is split evenly around the given
     ``(object, duration)`` accesses, so accesses are spread across the
     body rather than clustered — matching the paper's workloads where jobs
-    access queues at arbitrary points of their execution.
+    access queues at arbitrary points of their execution.  ``scale``
+    rescales each compute chunk exactly as :func:`scale_to_load` would,
+    so a builder that knows its :func:`load_scale` builds the task once.
     """
+    def work(duration: int) -> Compute:
+        if scale is not None:
+            duration = max(1, round(duration * scale))
+        return Compute(duration)
+
     accesses = accesses or []
     chunks = len(accesses) + 1
     base, leftover = divmod(compute, chunks)
@@ -45,12 +53,12 @@ def make_task(name: str,
     for index, (obj, duration) in enumerate(accesses):
         chunk = base + (1 if index < leftover else 0)
         if chunk:
-            body.append(Compute(chunk))
+            body.append(work(chunk))
         body.append(ObjectAccess(obj=obj, duration=duration, kind=access_kind))
     if base:
-        body.append(Compute(base))
+        body.append(work(base))
     if not body:
-        body.append(Compute(compute))
+        body.append(work(compute))
     return TaskSpec(
         name=name,
         arrival=arrival,
@@ -73,15 +81,24 @@ def total_access_time(tasks: list[TaskSpec]) -> int:
     return sum(t.access_time for t in tasks)
 
 
+def load_scale(computes: list[int], criticals: list[int],
+               target_load: float) -> float:
+    """The factor that takes ``AL`` over tasks with these compute and
+    critical times to ``target_load`` (summed as :func:`approximate_load`
+    sums, so the factor is bit-identical)."""
+    if target_load <= 0:
+        raise ValueError("target load must be positive")
+    current = sum(u / c for u, c in zip(computes, criticals))
+    if current == 0:
+        raise ValueError("cannot scale a task set with zero compute time")
+    return target_load / current
+
+
 def scale_to_load(tasks: list[TaskSpec], target_load: float) -> list[TaskSpec]:
     """Rescale every task's compute segments so ``AL`` hits
     ``target_load``, preserving access structure and time constraints."""
-    if target_load <= 0:
-        raise ValueError("target load must be positive")
-    current = approximate_load(tasks)
-    if current == 0:
-        raise ValueError("cannot scale a task set with zero compute time")
-    factor = target_load / current
+    factor = load_scale([t.compute_time for t in tasks],
+                        [t.critical_time for t in tasks], target_load)
     rescaled = []
     for task in tasks:
         body = tuple(

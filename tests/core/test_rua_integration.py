@@ -10,7 +10,6 @@
 import pytest
 
 from repro.sim.kernel import SyncMode
-from repro.sim.tracing import TraceKind
 from repro.tuf import StepTUF
 from repro.units import US
 from tests.helpers import run_scenario, simple_task, zero_cost_policy

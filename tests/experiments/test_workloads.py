@@ -5,11 +5,13 @@ import random
 import pytest
 
 from repro.experiments.workloads import (
+    BuilderSpec,
     paper_taskset,
     readers_taskset,
     scaled_paper_taskset,
 )
-from repro.tasks import approximate_load
+from repro.scenario import Scenario
+from repro.tasks import TaskSpec, approximate_load
 from repro.tasks.segments import AccessKind, ObjectAccess
 from repro.tuf import ParabolicTUF, StepTUF
 
@@ -58,6 +60,21 @@ class TestPaperTaskset:
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError):
             paper_taskset(random.Random(0), tuf_class="spiky")
+
+    def test_materialize_builds_each_task_once(self, monkeypatch):
+        built = []
+        post_init = TaskSpec.__post_init__
+
+        def counting(task):
+            built.append(task.name)
+            post_init(task)
+
+        monkeypatch.setattr(TaskSpec, "__post_init__", counting)
+        scenario = Scenario(workload=BuilderSpec.make("paper", n_tasks=12),
+                            seed=3)
+        tasks, _ = scenario.materialize()
+        assert len(tasks) == 12
+        assert built == [task.name for task in tasks]
 
 
 class TestReadersTaskset:

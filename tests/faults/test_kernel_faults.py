@@ -10,11 +10,11 @@ from repro.faults.plan import (
     SegmentOverrun,
     TimerFault,
 )
+from repro.obs import Observer
 from repro.sim.kernel import Kernel, SimulationConfig, SyncMode
 from repro.sim.overheads import KernelCosts
-from repro.sim.tracing import TraceKind
 from repro.units import US
-from tests.helpers import simple_task, zero_cost_policy
+from tests.helpers import instants, simple_task, zero_cost_policy
 
 
 def _run(tasks, traces_us, horizon_us=100_000, sync=SyncMode.NONE,
@@ -26,7 +26,7 @@ def _run(tasks, traces_us, horizon_us=100_000, sync=SyncMode.NONE,
         horizon=horizon_us * US,
         sync=sync,
         costs=costs or KernelCosts.ideal(),
-        trace=True,
+        observer=Observer(),
         **fault_kwargs,
     )
     kernel = Kernel(config)
@@ -51,7 +51,7 @@ class TestArrivalBursts:
             admission=AdmissionPolicy(ShedMode.SHED))
         assert result.degradation.shed_jobs == 2
         assert result.releases == 1
-        assert len(kernel.tracer.of_kind(TraceKind.SHED)) == 2
+        assert len(instants(kernel, "shed")) == 2
 
     def test_defer_mode_releases_later_and_conformantly(self):
         task = self._task()
@@ -68,7 +68,7 @@ class TestArrivalBursts:
         releases = sorted(r.release_time for r in result.records)
         assert releases == [0, 10_000 * US, 20_000 * US]
         assert check_uam(releases, task.arrival) == []
-        assert kernel.tracer.of_kind(TraceKind.DEFER)
+        assert instants(kernel, "defer")
 
     def test_burst_beyond_horizon_is_dropped(self):
         plan = FaultPlan(bursts=(ArrivalBurst(0, 200_000 * US, count=3),))
@@ -88,7 +88,7 @@ class TestOverruns:
         assert base.records[0].completion_time == 100 * US
         assert faulted.records[0].completion_time == 600 * US
         assert faulted.degradation.injected_overruns == 1
-        assert kernel.tracer.of_kind(TraceKind.FAULT)
+        assert instants(kernel, "fault")
 
     def test_overrun_applies_once_per_job_segment(self):
         task = simple_task("T", critical_us=1000, compute_us=100,
@@ -125,7 +125,7 @@ class TestSpuriousRetries:
         by_name = {r.task_name: r for r in result.records}
         assert result.degradation.forced_retries == 2
         assert by_name["L"].retries == 2
-        assert len(kernel.tracer.of_kind(TraceKind.RETRY)) == 2
+        assert len(instants(kernel, "retry")) == 2
 
     def test_without_plan_no_retries(self):
         _, result = _run(self._tasks(), [[0], [1000], [2000]],
@@ -186,7 +186,7 @@ class TestTimerFaults:
         violations = report.violations_of("abort-point")
         assert len(violations) == 1
         assert violations[0].job == "X#0"
-        assert kernel.tracer.of_kind(TraceKind.FAULT)
+        assert instants(kernel, "fault")
 
     def test_delayed_timer_aborts_late_and_is_flagged(self):
         plan = FaultPlan(timer_faults=(

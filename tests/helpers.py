@@ -10,6 +10,7 @@ from repro.arrivals import UAMSpec
 from repro.core.edf import EDF
 from repro.core.rua_lockbased import LockBasedRUA
 from repro.core.rua_lockfree import LockFreeRUA
+from repro.obs import Observer
 from repro.sim.kernel import Kernel, SimulationConfig, SyncMode
 from repro.sim.objects import RetryPolicy
 from repro.sim.overheads import KernelCosts, ZeroCost
@@ -46,7 +47,8 @@ def run_scenario(tasks, traces_us, sync=SyncMode.NONE, policy=None,
                  retry_policy=RetryPolicy.ON_CONFLICT,
                  allow_nesting=False):
     """Run a hand-built scenario with zero-cost scheduling by default, so
-    assertions about timing are exact."""
+    assertions about timing are exact.  ``trace`` attaches an
+    :class:`~repro.obs.Observer` (read it through :func:`instants`)."""
     if policy is None:
         policy = EDF(cost_model=ZeroCost())
     config = SimulationConfig(
@@ -58,11 +60,21 @@ def run_scenario(tasks, traces_us, sync=SyncMode.NONE, policy=None,
         costs=costs or KernelCosts.ideal(),
         retry_policy=retry_policy,
         allow_nesting=allow_nesting,
-        trace=trace,
+        observer=Observer() if trace else None,
     )
     kernel = Kernel(config)
     result = kernel.run()
     return kernel, result
+
+
+def instants(kernel, name: str) -> list:
+    """The kernel observer's instants called ``name``, in order."""
+    return [event for event in kernel.obs.instants if event.name == name]
+
+
+def job_of(event) -> str:
+    """The ``job`` argument of an observer event."""
+    return dict(event.args)["job"]
 
 
 def random_workload(rng, horizon_us: int = 20_000, kind: str | None = None):

@@ -90,7 +90,7 @@ class TestFormatParity:
         jsonl = tmp_path / "run.jsonl"
         chrome = tmp_path / "run.json"
         write_jsonl(jsonl, prof.observer)
-        write_chrome_trace(chrome, prof.observer, prof.tracer)
+        write_chrome_trace(chrome, prof.observer)
         diff = diff_trace_files(jsonl, chrome)
         assert diff.identical_schedule
         assert diff.decisions_a == diff.decisions_b > 0

@@ -10,7 +10,6 @@ from repro.obs.exporters import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.sim.tracing import TraceKind, Tracer
 
 
 def _sample_observer() -> Observer:
@@ -51,18 +50,6 @@ class TestChromeTrace:
         assert counter["name"] == "retries.2"
         assert counter["tid"] == 0
         assert counter["args"] == {"value": 1}
-
-    def test_tracer_lane_appended(self):
-        tracer = Tracer()
-        tracer.emit(5_000, TraceKind.COMPLETE, "T0#0", detail="u=1.0")
-        doc = chrome_trace(_sample_observer(), tracer)
-        meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
-        assert meta[-1]["args"]["name"] == "trace"
-        lane = meta[-1]["tid"]
-        trace_events = [e for e in doc["traceEvents"]
-                        if e.get("cat") == "trace"]
-        assert len(trace_events) == 1
-        assert trace_events[0]["tid"] == lane
 
     def test_empty_observer(self):
         doc = chrome_trace(Observer())
@@ -131,7 +118,7 @@ class TestExporterEdgeCases:
         assert not any(i.name == "complete"
                        for i in prof.observer.instants)
         path = tmp_path / "nocomplete.json"
-        write_chrome_trace(path, prof.observer, prof.tracer)
+        write_chrome_trace(path, prof.observer)
         loaded = json.loads(path.read_text())
         assert isinstance(loaded["traceEvents"], list)
         meta = [e for e in loaded["traceEvents"] if e["ph"] == "M"]

@@ -28,9 +28,9 @@ from repro.experiments.runner import run_once
 from repro.experiments.workloads import paper_taskset
 from repro.obs import NULL_OBSERVER, Observer
 from repro.obs.exporters import chrome_trace, events_jsonl
-from repro.sim.kernel import Kernel, SimulationConfig
+from repro.sim.kernel import Kernel, SimulationConfig, SyncMode
 from repro.units import MS
-from tests.helpers import zero_cost_policy
+from tests.helpers import run_scenario, simple_task, zero_cost_policy
 
 SEED = 99
 ROUNDS = 5
@@ -81,6 +81,39 @@ class TestDisabledOverhead:
             _reference_run(observer=None)
         finally:
             sys.setprofile(None)
+        assert calls == {}, (
+            f"a run without an observer called into repro.obs: {calls}")
+
+    def test_disabled_lock_based_run_makes_no_obs_call(self):
+        # The reference run is lock-free and never unblocks a job; this
+        # EDF holder/dependent pair blocks on a lock and is woken by
+        # its release, so the lock hooks run with no observer too.
+        holder = simple_task("H", critical_us=40_000, compute_us=100,
+                             accesses=[(0, 3000)], window_us=50_000)
+        dependent = simple_task("D", critical_us=5000, compute_us=100,
+                                accesses=[(0, 200)], window_us=50_000)
+
+        def run():
+            return run_scenario(
+                [holder, dependent], [[0], [1000]],
+                sync=SyncMode.LOCK_BASED, policy=zero_cost_policy("edf"),
+                horizon_us=50_000, trace=False)
+
+        run()  # warm lazy imports
+        calls = {}
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename.startswith(OBS_DIR):
+                name = f"{os.path.basename(code.co_filename)}:{code.co_name}"
+                calls[name] = calls.get(name, 0) + 1
+
+        sys.setprofile(profile)
+        try:
+            _, result = run()
+        finally:
+            sys.setprofile(None)
+        assert result.total_blockings >= 1
         assert calls == {}, (
             f"a run without an observer called into repro.obs: {calls}")
 

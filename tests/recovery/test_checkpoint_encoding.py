@@ -40,8 +40,7 @@ def _scenario(sync: str = "lockfree") -> Scenario:
                        ObjectAccess(obj=index % 2, duration=5_000),
                        Compute(20_000)))
         for index, name in enumerate(NAMES))
-    return Scenario(sync=sync, horizon=3_000_000, seed=5, tasks=tasks,
-                    trace=True)
+    return Scenario(sync=sync, horizon=3_000_000, seed=5, tasks=tasks)
 
 
 def _snapshots(sync: str = "lockfree") -> list[KernelCheckpoint]:
@@ -54,12 +53,18 @@ def _snapshots(sync: str = "lockfree") -> list[KernelCheckpoint]:
 
 def test_wrapped_encoding_equals_the_generic_encoding():
     for sync in ("lockfree", "lockbased"):
+        with_records = 0
         for checkpoint in _snapshots(sync):
             text = checkpoint.to_json()
             assert checkpoint.state_text is not None
             assert text == _generic(checkpoint)
-            # The hostile names are really in the encoded state.
-            assert any(json.dumps(name)[1:-1] in text for name in NAMES)
+            # The hostile names are really in the encoded state: each
+            # result record carries its task's name.
+            if checkpoint.state["result"]["records"]:
+                with_records += 1
+                assert any(json.dumps(name)[1:-1] in text
+                           for name in NAMES)
+        assert with_records > 3
 
 
 def test_wrap_of_a_hand_made_state_with_hostile_strings():

@@ -4,10 +4,14 @@ import pytest
 
 from repro.sim.kernel import SimulationConfig, SyncMode
 from repro.sim.objects import RetryPolicy
-from repro.sim.tracing import TraceKind
 from repro.tuf import LinearDecreasingTUF
 from repro.units import US
-from tests.helpers import run_scenario, simple_task, zero_cost_policy
+from tests.helpers import (
+    instants,
+    run_scenario,
+    simple_task,
+    zero_cost_policy,
+)
 
 
 class TestBasicExecution:
@@ -41,7 +45,7 @@ class TestBasicExecution:
         kernel, result = run_scenario([task], [[0, 10_000]],
                                       horizon_us=20_000)
         assert len(result.records) == 2
-        assert kernel.tracer.of_kind(TraceKind.IDLE)
+        assert instants(kernel, "idle")
 
 
 class TestAbortion:
@@ -53,9 +57,9 @@ class TestAbortion:
         record = result.records[0]
         assert record.aborted
         assert record.accrued_utility == 0.0
-        aborts = kernel.tracer.of_kind(TraceKind.ABORT)
+        aborts = instants(kernel, "abort")
         assert len(aborts) == 1
-        assert aborts[0].time == 1000 * US
+        assert aborts[0].ts == 1000 * US
 
     def test_abort_releases_held_lock(self):
         greedy = simple_task("G", critical_us=1000, compute_us=10,
@@ -85,7 +89,7 @@ class TestAbortion:
         task = simple_task("T", critical_us=1000, compute_us=10)
         kernel, result = run_scenario([task], [[0]], horizon_us=5000)
         assert not result.records[0].aborted
-        assert kernel.tracer.of_kind(TraceKind.ABORT) == []
+        assert instants(kernel, "abort") == []
 
 
 class TestPreemption:
@@ -99,7 +103,7 @@ class TestPreemption:
         by_name = {r.task_name: r for r in result.records}
         assert by_name["S"].completion_time == (1000 + 500) * US
         assert by_name["L"].preemptions >= 1
-        assert kernel.tracer.of_kind(TraceKind.PREEMPT)
+        assert instants(kernel, "preempt")
 
     def test_preempted_compute_work_is_not_lost(self):
         long = simple_task("L", critical_us=50_000, compute_us=10_000,
@@ -140,16 +144,16 @@ class TestLockBasedSharing:
             policy=zero_cost_policy("edf"), horizon_us=50_000)
         by_name = {r.task_name: r for r in result.records}
         assert by_name["D"].blockings >= 1
-        assert kernel.tracer.of_kind(TraceKind.BLOCK)
-        assert kernel.tracer.of_kind(TraceKind.UNBLOCK)
+        assert any(span.name == "blocked:0" for span in kernel.obs.spans)
+        assert instants(kernel, "unblock")
 
     def test_lock_acquire_release_traced(self):
         task = simple_task("T", critical_us=10_000, compute_us=100,
                            accesses=[(0, 50)])
         kernel, _ = run_scenario([task], [[0]], sync=SyncMode.LOCK_BASED,
                                  policy=zero_cost_policy("rua-lockbased"))
-        assert len(kernel.tracer.of_kind(TraceKind.LOCK_ACQUIRE)) == 1
-        assert len(kernel.tracer.of_kind(TraceKind.LOCK_RELEASE)) == 1
+        assert len(instants(kernel, "lock_acquire")) == 1
+        assert len(instants(kernel, "lock_release")) == 1
 
 
 class TestLockFreeSharing:
@@ -168,7 +172,7 @@ class TestLockFreeSharing:
         by_name = {r.task_name: r for r in result.records}
         assert by_name["L"].retries == 1
         assert by_name["S"].retries == 0
-        assert kernel.tracer.of_kind(TraceKind.RETRY)
+        assert instants(kernel, "retry")
         assert result.cmr == 1.0
 
     def test_read_does_not_invalidate_writer(self):
@@ -225,8 +229,8 @@ class TestSyncModeNone:
                            accesses=[(0, 500)])
         kernel, result = run_scenario([task], [[0]], sync=SyncMode.NONE)
         assert result.records[0].sojourn == 600 * US
-        assert kernel.tracer.of_kind(TraceKind.LOCK_ACQUIRE) == []
-        assert kernel.tracer.of_kind(TraceKind.RETRY) == []
+        assert instants(kernel, "lock_acquire") == []
+        assert instants(kernel, "retry") == []
 
 
 class TestHorizon:

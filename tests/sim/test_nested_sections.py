@@ -14,11 +14,11 @@ from repro.core.rua_lockbased import LockBasedRUA
 from repro.obs import Observer
 from repro.sim.kernel import Kernel, SimulationConfig, SyncMode
 from repro.sim.overheads import KernelCosts, ZeroCost
-from repro.sim.tracing import TraceKind
 from repro.tasks import Compute, ObjectAccess, TaskSpec
 from repro.tasks.segments import ReleaseLock
 from repro.tuf import StepTUF
 from repro.units import MS, US
+from tests.helpers import instants, job_of
 
 
 def _nested_task(name, first, second, critical_us, height=1.0,
@@ -52,7 +52,7 @@ def _run(tasks, traces_us, horizon_us=60_000, detect=True):
         sync=SyncMode.LOCK_BASED,
         costs=KernelCosts.ideal(),
         allow_nesting=True,
-        trace=True,
+        observer=Observer(),
     )
     kernel = Kernel(config)
     return kernel, kernel.run()
@@ -63,8 +63,8 @@ class TestHeldAcrossLocks:
         task = _nested_task("T", "A", "B", critical_us=50_000)
         kernel, result = _run([task], [[0]])
         assert result.records[0].met_critical_time
-        acquires = kernel.tracer.of_kind(TraceKind.LOCK_ACQUIRE)
-        releases = kernel.tracer.of_kind(TraceKind.LOCK_RELEASE)
+        acquires = instants(kernel, "lock_acquire")
+        releases = instants(kernel, "lock_release")
         assert len(acquires) == 2
         assert len(releases) == 2
 
@@ -102,7 +102,7 @@ class TestRuntimeDeadlock:
         # then requests A; rich resumes and requests B: cycle closed.
         kernel, result = _run([rich, poor], [[0], [200]])
         by_name = {r.task_name: r for r in result.records}
-        aborts = kernel.tracer.of_kind(TraceKind.ABORT)
+        aborts = instants(kernel, "abort")
         # Exactly one of the two was sacrificed, and it is the
         # least-utility one; the survivor completes in time.
         assert len(aborts) == 1
@@ -117,10 +117,11 @@ class TestRuntimeDeadlock:
         kernel, result = _run([rich, poor], [[0], [200]])
         by_name = {r.task_name: r for r in result.records}
         assert by_name["rich"].blockings == 0
-        abort = kernel.tracer.of_kind(TraceKind.ABORT)[0]
-        acquire_b = [e for e in kernel.tracer.of_kind(TraceKind.LOCK_ACQUIRE)
-                     if e.job.startswith("rich") and e.detail == "B"][0]
-        assert abort.time == acquire_b.time
+        abort = instants(kernel, "abort")[0]
+        acquire_b = [e for e in instants(kernel, "lock_acquire")
+                     if job_of(e).startswith("rich")
+                     and dict(e.args)["obj"] == "B"][0]
+        assert abort.ts == acquire_b.ts
 
     def test_without_detection_resolution_waits_for_critical_time(self):
         # With detection disabled, the cycle persists until the victim's
@@ -137,8 +138,8 @@ class TestRuntimeDeadlock:
         # poor's critical time is ~10 ms; detection resolves within ~6 ms.
         assert without_d["rich"].completion_time > 10_000 * US
         assert with_d["rich"].completion_time < 6_000 * US
-        unblocks = kernel.tracer.of_kind(TraceKind.UNBLOCK)
-        assert any(e.job.startswith("rich") for e in unblocks)
+        unblocks = instants(kernel, "unblock")
+        assert any(job_of(e).startswith("rich") for e in unblocks)
 
 
 class TestFastPathMatchesReferenceWithDeadlocks:
@@ -230,11 +231,11 @@ class TestNestingUnderOtherSyncModes:
                               fromlist=["LockFreeRUA"]).LockFreeRUA(
                 cost_model=ZeroCost()),
             horizon=60 * MS, sync=SyncMode.LOCK_FREE,
-            costs=KernelCosts.ideal(), trace=True,
+            costs=KernelCosts.ideal(), observer=Observer(),
         )
         kernel = Kernel(config)
         result = kernel.run()
         assert result.records[0].met_critical_time
         # Both accesses committed; the ReleaseLock was a no-op.
         assert result.lockfree_access_commits == 2
-        assert kernel.tracer.of_kind(TraceKind.LOCK_RELEASE) == []
+        assert instants(kernel, "lock_release") == []

@@ -1,6 +1,7 @@
 """The unified Scenario API: validation, serialization round-trip and
 the wrapper equivalences."""
 
+import dataclasses
 import json
 import random
 
@@ -187,7 +188,6 @@ def test_digest_changes_under_any_field_change():
         quick_scenario(n_tasks=3, n_objects=2, seed=7, load=0.9),
         quick_scenario(n_tasks=3, n_objects=2, seed=7, tuf_class="hetero"),
     ]
-    import dataclasses
     variants += [
         dataclasses.replace(base, horizon=base.horizon + 1),
         dataclasses.replace(base, seeding="shared"),
@@ -199,6 +199,24 @@ def test_digest_changes_under_any_field_change():
     for variant in variants:
         digests.add(variant.digest())
     assert len(digests) == len(variants) + 1, "digest collision"
+
+
+@pytest.mark.parametrize("sync", ["lockfree", "lockbased"])
+def test_trace_never_changes_a_result(sync):
+    from repro.serve.pool import result_payload
+
+    plain = quick_scenario(n_tasks=5, n_objects=3, sync=sync, load=1.1,
+                           horizon_us=40_000, seed=11)
+    traced = dataclasses.replace(plain, trace=True)
+    plain_run, traced_run = simulate(plain), simulate(traced)
+    plain_payload = result_payload(plain, plain_run)
+    traced_payload = result_payload(traced, traced_run)
+    assert (plain_payload.pop("scenario_digest")
+            != traced_payload.pop("scenario_digest"))
+    assert plain_payload == traced_payload
+    assert plain_payload["jobs"] > 20
+    assert plain_run.result.obs is None
+    assert traced_run.result.obs["enabled"] is True
 
 
 def test_digest_rejects_runtime_scenarios():
