@@ -5,8 +5,8 @@ Commands:
 * ``quick`` — one random-workload simulation per sharing style;
 * ``figure`` — run one of the paper's figure campaigns (Figures 8–14,
   Theorems 2/3, Lemmas 4/5, the retry-policy ablation; reduced settings
-  by default, ``--repeats``/``--horizon-ms`` scale it up);
-* ``retrybound`` — the Theorem 2 validation campaign;
+  by default, ``--repeats``/``--horizon-ms`` scale it up), print one
+  ``PASS``/``FAIL`` verdict per paper claim and exit 1 when one fails;
 * ``sojourn`` — evaluate the Theorem 3 comparison for given parameters;
 * ``faults`` — the CML-under-faults degradation campaign: inject
   out-of-spec arrival bursts, compare shedding on vs off, and write the
@@ -36,7 +36,7 @@ observability summary of the run (``{"enabled": false}`` when nothing
 was instrumented).  Campaign commands accept ``--metrics-port`` to
 serve a live OpenMetrics ``/metrics`` endpoint while they run.
 
-Campaign resilience (``figure``/``retrybound``/``faults``): ``--workers N``
+Campaign resilience (``figure``/``faults``): ``--workers N``
 fans trials out to crash-isolated worker processes, ``--trial-timeout``
 bounds each trial's wall clock, ``--trial-retries`` caps retry attempts,
 ``--journal``/``--resume`` checkpoint and resume interrupted campaigns.
@@ -88,8 +88,8 @@ FIGURES = {
 }
 
 #: Exit code for a campaign whose terminal trial failures exceeded
-#: ``--max-failures`` (distinct from 1 = domain check failed and
-#: 2 = usage error).
+#: ``--max-failures`` (distinct from 1 = a paper claim failed and
+#: 2 = usage error); it takes precedence over a failed claim.
 EXIT_CAMPAIGN_FAILED = 4
 
 
@@ -239,14 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--json", default=None, metavar="PATH",
                         help="write a machine-readable summary")
     _add_campaign_args(figure)
-
-    retry = sub.add_parser("retrybound",
-                           help="Theorem 2 retry-bound validation")
-    retry.add_argument("--repeats", type=int, default=3)
-    retry.add_argument("--horizon-ms", type=int, default=300)
-    retry.add_argument("--json", default=None, metavar="PATH",
-                       help="write a machine-readable summary")
-    _add_campaign_args(retry)
 
     faults = sub.add_parser(
         "faults",
@@ -504,35 +496,9 @@ def _cmd_figure(args) -> int:
         atomic_write(args.out, text + "\n")
         print(f"figure table written to {args.out}")
     rc = _campaign_exit(result.campaign, args)
-    _write_json(args, {"command": "figure", "name": args.name,
-                       "exit_code": rc, **result.to_dict()},
-                obs=observer.summary() if observer is not None else None)
-    return rc
-
-
-def _cmd_retrybound(args) -> int:
-    campaign = _campaign_from_args(args)
-    observer = Observer() if campaign is not None else None
-    engine = (CampaignEngine(campaign, tag="figure:thm2",
-                             observer=observer)
-              if campaign is not None else None)
-    _announce_metrics(engine)
-    try:
-        result = figures.thm2_validation(repeats=args.repeats,
-                                         horizon=args.horizon_ms * MS,
-                                         campaign=engine)
-    finally:
-        if engine is not None:
-            engine.close()
-    print(result.render())
-    measured, bound = result.series
-    violated = any(m.mean > b.mean for m, b in
-                   zip(measured.estimates, bound.estimates))
-    print("BOUND VIOLATED" if violated else "bound holds for every task")
-    rc = _campaign_exit(result.campaign, args)
-    if violated:
+    if not result.passed:
         rc = rc or 1
-    _write_json(args, {"command": "retrybound", "violated": violated,
+    _write_json(args, {"command": "figure", "name": args.name,
                        "exit_code": rc, **result.to_dict()},
                 obs=observer.summary() if observer is not None else None)
     return rc
@@ -909,8 +875,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_quick(args)
         if args.command == "figure":
             return _cmd_figure(args)
-        if args.command == "retrybound":
-            return _cmd_retrybound(args)
         if args.command == "faults":
             return _cmd_faults(args)
         if args.command == "profile":

@@ -3,10 +3,11 @@ validations and the retry-policy ablation).
 
 Each function runs the seeded simulation campaign for one figure of the
 paper and returns a :class:`FigureResult` whose ``render()`` produces the
-ASCII table recorded in EXPERIMENTS.md.  ``repeats`` and ``horizon``
-trade fidelity for speed: ``repro figure NAME`` runs the settings that
-EXPERIMENTS.md records, and ``tests/experiments/test_paper_shapes.py``
-asserts the paper's shape on the same campaigns.
+ASCII table recorded in EXPERIMENTS.md, then one verdict per paper claim
+the function checked on its own data (:class:`Claim`).  ``repeats`` and
+``horizon`` trade fidelity for speed: ``repro figure NAME`` runs the
+settings that EXPERIMENTS.md records and exits 1 when a claim fails, and
+``tests/experiments/test_paper_shapes.py`` requires every claim to pass.
 
 Every figure accepts ``campaign=`` — a
 :class:`repro.campaign.CampaignConfig` (or a pre-built
@@ -21,8 +22,10 @@ serial and parallel campaigns agree on every data point.
 
 from __future__ import annotations
 
+import math
+import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.analysis.retry_bound import retry_bound_for_taskset, x_i
@@ -53,6 +56,40 @@ from repro.units import MS, US, ns_to_us
 
 CampaignArg = "CampaignConfig | CampaignEngine | None"
 
+_OPS = {"<": operator.lt, "<=": operator.le,
+        ">": operator.gt, ">=": operator.ge}
+
+
+def _min(values) -> float:
+    """``min`` that is NaN when any value is.  A hollow point (``n == 0``,
+    every trial behind it failed) has a NaN mean; NaN must reach the
+    claim's comparison, which it fails."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else min(values)
+
+
+def _max(values) -> float:
+    return -_min(-value for value in values)
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One paper claim checked on its figure's own data.
+
+    ``text`` states the claim with its margin; ``observed`` is the value
+    the predicate tested (a minimum ratio, a last-point gap, ...), so a
+    verdict shows how close the data came to the margin."""
+
+    text: str
+    section: str
+    observed: float
+    passed: bool
+
+    def render(self) -> str:
+        verdict = "PASS" if self.passed else "FAIL"
+        return (f"{verdict} [{self.section}] {self.text}: "
+                f"observed {self.observed:.4g}")
+
 
 @dataclass
 class FigureResult:
@@ -70,9 +107,27 @@ class FigureResult:
     #: Results without an x axis (Theorem 3, the retry ablation), in
     #: place of series: label -> (value, format spec).
     scalars: dict[str, tuple[Any, str]] = field(default_factory=dict)
+    #: The paper's claims about this figure, checked on its data.
+    claims: list[Claim] = field(default_factory=list)
 
     def scalar(self, label: str) -> Any:
         return self.scalars[label][0]
+
+    def means(self, label: str) -> list[float]:
+        return next(s.means() for s in self.series if s.label == label)
+
+    def claim(self, section: str, quantity: str, op: str, limit: float,
+              observed: float) -> None:
+        """Check the claim ``quantity op limit`` and append it.  A claim
+        over a hollow point fails: the point's NaN mean makes
+        ``observed`` NaN, and every comparison with NaN is false."""
+        self.claims.append(Claim(
+            text=f"{quantity} {op} {limit:.4g}", section=section,
+            observed=float(observed), passed=_OPS[op](observed, limit)))
+
+    @property
+    def passed(self) -> bool:
+        return all(claim.passed for claim in self.claims)
 
     def render(self) -> str:
         title = f"{self.figure}: {self.title}"
@@ -85,6 +140,8 @@ class FigureResult:
                                        show_n=self.campaign is not None)
         if self.notes:
             text += f"\n{self.notes}"
+        for claim in self.claims:
+            text += f"\n{claim.render()}"
         if self.campaign is not None:
             text += f"\ncampaign: {self.campaign.summary_line()}"
         return text
@@ -103,6 +160,8 @@ class FigureResult:
         if self.scalars:
             out["scalars"] = {label: value
                               for label, (value, _) in self.scalars.items()}
+        if self.claims:
+            out["claims"] = [asdict(claim) for claim in self.claims]
         return out
 
 
@@ -164,13 +223,19 @@ def fig8(repeats: int = 5, horizon: int = 150 * MS,
             s_values.append(ns_to_us(DEFAULT_ACCESS_DURATION + mech))
         r_series.add(m, r_values)
         s_series.add(m, s_values)
-    return _finish(FigureResult(
+    result = FigureResult(
         figure="Figure 8",
         title="Lock-Based and Lock-Free Shared Object Access Time",
         x_label="objects/job",
         series=[r_series, s_series],
-        notes="Paper shape: r >> s; r grows with object count; s stays flat.",
-    ), engine, owned)
+    )
+    r, s = r_series.means(), s_series.means()
+    result.claim("§6 Fig. 8", "min r/s", ">", 3,
+                 _min(a / b for a, b in zip(r, s)))
+    result.claim("§6 Fig. 8", "max s / min s", "<", 2, _max(s) / _min(s))
+    result.claim("§6 Fig. 8", "r at most objects / r at fewest", ">=", 0.8,
+                 r[-1] / r[0])
+    return _finish(result, engine, owned)
 
 
 # ---------------------------------------------------------------------
@@ -179,34 +244,44 @@ def fig8(repeats: int = 5, horizon: int = 150 * MS,
 
 def fig9(repeats: int = 3,
          exec_times_us: tuple[int, ...] = (10, 30, 100, 300, 1000),
-         syncs: tuple[str, ...] = ("ideal", "lockfree", "lockbased"),
          base_seed: int = 90, windows_per_run: int = 40,
          bisect_iterations: int = 7,
          campaign: CampaignArg = None) -> FigureResult:
     """CML of ideal / lock-free / lock-based RUA under increasing average
     job execution time (10 µs – 1 ms)."""
     engine, owned = _engine_for(campaign, tag="fig9")
-    series = {sync: Series(label=f"CML {sync}") for sync in syncs}
+    series = {sync: Series(label=f"CML {sync}")
+              for sync in ("ideal", "lockfree", "lockbased")}
     for exec_us in exec_times_us:
         avg_exec = exec_us * US
         # Horizon: enough windows at the heaviest probed load.
         horizon = max(windows_per_run * 10 * avg_exec, 5 * MS)
         build = LoadedBuilderSpec.make("paper", avg_exec=avg_exec,
                                        accesses_per_job=2)
-        for sync in syncs:
+        for sync in series:
             cml = measure_cml(build, sync, horizon,
                               _seeds(repeats, base_seed),
                               iterations=bisect_iterations,
                               campaign=engine)
             series[sync].add(exec_us, [cml])
-    return _finish(FigureResult(
+    result = FigureResult(
         figure="Figure 9",
         title="Critical Time Miss Load",
         x_label="avg exec [us]",
         series=list(series.values()),
-        notes=("Paper shape: lock-free ~ ideal, CML→1 near 10 us; "
-               "lock-based converges to 1 only near 1 ms."),
-    ), engine, owned)
+    )
+    ideal, lf, lb = (curve.means() for curve in series.values())
+    result.claim("§6 Fig. 9", "min CML lockfree - ideal", ">=", -0.15,
+                 _min(a - b for a, b in zip(lf, ideal)))
+    result.claim("§6 Fig. 9", "CML lockbased at shortest exec", "<", 0.5,
+                 lb[0])
+    result.claim("§6 Fig. 9", "CML lockbased at longest exec", ">", 0.8,
+                 lb[-1])
+    result.claim("§6 Fig. 9", "min step of CML lockbased", ">=", 0,
+                 _min([b - a for a, b in zip(lb, lb[1:])] or [0.0]))
+    result.claim("§6 Fig. 9", "max CML lockbased - ideal", "<=", 0.1,
+                 _max(a - b for a, b in zip(lb, ideal)))
+    return _finish(result, engine, owned)
 
 
 # ---------------------------------------------------------------------
@@ -233,16 +308,40 @@ def _aur_cmr_vs_objects(figure: str, load: float, tuf_class: str,
             series[f"AUR {tag}"].add(m, [r.aur for r in results])
             series[f"CMR {tag}"].add(m, [r.cmr for r in results])
     regime = "Underload" if load < 1.0 else "Overload"
-    shape = ("lock-free stays near 100%" if load < 1.0 else
-             "lock-based AUR/CMR collapse with objects; lock-free holds")
     return _finish(FigureResult(
         figure=figure,
         title=(f"AUR/CMR During {regime} (AL≈{load}), "
                f"{tuf_class} TUFs"),
         x_label="objects/job",
         series=list(series.values()),
-        notes=f"Paper shape: {shape}.",
     ), engine, owned)
+
+
+def _gap(result: FigureResult, section: str, metric: str, op: str,
+         limit: float) -> None:
+    """Claim on the last-point gap ``metric`` lock-free - lock-based."""
+    result.claim(section, f"last-point {metric} lock-free - lock-based",
+                 op, limit, result.means(f"{metric} lock-free")[-1]
+                 - result.means(f"{metric} lock-based")[-1])
+
+
+def _underload_claims(result: FigureResult, section: str,
+                      aur_floor: float) -> None:
+    """Lock-free RUA keeps AUR and CMR near 100 % at every object count
+    during underload."""
+    for metric, floor in (("AUR", aur_floor), ("CMR", 0.97)):
+        result.claim(section, f"min {metric} lock-free", ">", floor,
+                     _min(result.means(f"{metric} lock-free")))
+
+
+def _overload_claims(result: FigureResult, section: str) -> None:
+    """Lock-based AUR falls as objects grow while lock-free RUA keeps a
+    wide AUR and CMR margin at the most objects."""
+    lb = result.means("AUR lock-based")
+    result.claim(section, "AUR lock-based, last - first point", "<", 0,
+                 lb[-1] - lb[0])
+    _gap(result, section, "AUR", ">", 0.3)
+    _gap(result, section, "CMR", ">", 0.3)
 
 
 def fig10(repeats: int = 5, horizon: int = 150 * MS,
@@ -250,8 +349,11 @@ def fig10(repeats: int = 5, horizon: int = 150 * MS,
           base_seed: int = 100,
           campaign: CampaignArg = None) -> FigureResult:
     """Underload (AL ≈ 0.4), step TUFs."""
-    return _aur_cmr_vs_objects("Figure 10", 0.4, "step", repeats, horizon,
-                               objects, base_seed, campaign)
+    result = _aur_cmr_vs_objects("Figure 10", 0.4, "step", repeats,
+                                 horizon, objects, base_seed, campaign)
+    _underload_claims(result, "§6 Fig. 10", aur_floor=0.95)
+    _gap(result, "§6 Fig. 10", "AUR", ">=", -0.02)
+    return result
 
 
 def fig11(repeats: int = 5, horizon: int = 150 * MS,
@@ -259,8 +361,15 @@ def fig11(repeats: int = 5, horizon: int = 150 * MS,
           base_seed: int = 110,
           campaign: CampaignArg = None) -> FigureResult:
     """Underload (AL ≈ 0.4), heterogeneous TUFs."""
-    return _aur_cmr_vs_objects("Figure 11", 0.4, "hetero", repeats, horizon,
-                               objects, base_seed, campaign)
+    result = _aur_cmr_vs_objects("Figure 11", 0.4, "hetero", repeats,
+                                 horizon, objects, base_seed, campaign)
+    _underload_claims(result, "§6 Fig. 11", aur_floor=0.9)
+    # A decaying TUF accrues at most its peak: AUR never exceeds CMR.
+    result.claim("§6 Fig. 11", "max AUR - CMR", "<=", 1e-9, _max(
+        aur - cmr for tag in ("lock-free", "lock-based")
+        for aur, cmr in zip(result.means(f"AUR {tag}"),
+                            result.means(f"CMR {tag}"))))
+    return result
 
 
 def fig12(repeats: int = 5, horizon: int = 150 * MS,
@@ -268,8 +377,12 @@ def fig12(repeats: int = 5, horizon: int = 150 * MS,
           base_seed: int = 120,
           campaign: CampaignArg = None) -> FigureResult:
     """Overload (AL ≈ 1.1), step TUFs."""
-    return _aur_cmr_vs_objects("Figure 12", 1.1, "step", repeats, horizon,
-                               objects, base_seed, campaign)
+    result = _aur_cmr_vs_objects("Figure 12", 1.1, "step", repeats,
+                                 horizon, objects, base_seed, campaign)
+    _overload_claims(result, "§6 Fig. 12")
+    result.claim("§6 Fig. 12", "last-point AUR lock-based", "<", 0.35,
+                 result.means("AUR lock-based")[-1])
+    return result
 
 
 def fig13(repeats: int = 5, horizon: int = 150 * MS,
@@ -277,8 +390,10 @@ def fig13(repeats: int = 5, horizon: int = 150 * MS,
           base_seed: int = 130,
           campaign: CampaignArg = None) -> FigureResult:
     """Overload (AL ≈ 1.1), heterogeneous TUFs."""
-    return _aur_cmr_vs_objects("Figure 13", 1.1, "hetero", repeats, horizon,
-                               objects, base_seed, campaign)
+    result = _aur_cmr_vs_objects("Figure 13", 1.1, "hetero", repeats,
+                                 horizon, objects, base_seed, campaign)
+    _overload_claims(result, "§6 Fig. 13")
+    return result
 
 
 # ---------------------------------------------------------------------
@@ -304,13 +419,18 @@ def fig14(repeats: int = 5, horizon: int = 150 * MS,
                                campaign=engine)
             series[f"AUR {tag}"].add(n_readers, [r.aur for r in results])
             series[f"CMR {tag}"].add(n_readers, [r.cmr for r in results])
-    return _finish(FigureResult(
+    result = FigureResult(
         figure="Figure 14",
         title="AUR/CMR During Increasing Readers, Heterogeneous TUFs",
         x_label="readers",
         series=list(series.values()),
-        notes="Paper shape: lock-free superior throughout the sweep.",
-    ), engine, owned)
+    )
+    result.claim("§6 Fig. 14", "min AUR lock-free - lock-based", ">=",
+                 -0.03, _min(a - b for a, b in zip(
+                     result.means("AUR lock-free"),
+                     result.means("AUR lock-based"))))
+    _gap(result, "§6 Fig. 14", "AUR", ">", 0)
+    return _finish(result, engine, owned)
 
 
 # ---------------------------------------------------------------------
@@ -347,8 +467,8 @@ def thm2_validation(repeats: int = 5, horizon: int = 400 * MS,
     — so preemptions really land mid-access and force retries (a plain
     homogeneous task set almost never preempts under ECF-ordered
     dispatch, making the bound trivially satisfied at zero).
-    The x axis indexes tasks; both series must satisfy measured <= bound
-    for every task (tests assert it)."""
+    The x axis indexes tasks; the claims check measured <= bound for
+    every task, and that some task retried at all."""
     engine, owned = _engine_for(campaign, tag="thm2")
     measured = Series(label="max retries measured")
     bound = Series(label="Theorem 2 bound f_i")
@@ -374,13 +494,18 @@ def thm2_validation(repeats: int = 5, horizon: int = 400 * MS,
     for index, task in enumerate(tasks):
         measured.add(index, [float(worst[task.name])])
         bound.add(index, [float(retry_bound_for_taskset(tasks, index))])
-    return _finish(FigureResult(
+    result = FigureResult(
         figure="Theorem 2",
         title="Lock-Free Retry Bound Under UAM (measured vs bound)",
         x_label="task",
         series=[measured, bound],
-        notes="Soundness requires measured <= bound for every task.",
-    ), engine, owned)
+    )
+    result.claim("Thm. 2", "max measured/bound retries", "<=", 1,
+                 _max(m / b for m, b in zip(measured.means(),
+                                            bound.means())))
+    result.claim("Thm. 2", "max measured retries", ">", 0,
+                 _max(measured.means()))
+    return _finish(result, engine, owned)
 
 
 # ---------------------------------------------------------------------
@@ -409,7 +534,11 @@ def lemma45_validation(repeats: int = 5, horizon: int = 300 * MS,
     tasks = paper_taskset(random.Random(base_seed), accesses_per_job=2,
                           target_load=load, tuf_class="step")
     seeds = _seeds(repeats, base_seed + 1)
-    out: list[Series] = []
+    result = FigureResult(
+        figure="Lemmas 4-5",
+        title="AUR Bounds (lock-free and lock-based)",
+        x_label="-",
+    )
     for sync, lemma in (("lockfree", "4"), ("lockbased", "5")):
         if engine is None:
             results = [
@@ -458,14 +587,13 @@ def lemma45_validation(repeats: int = 5, horizon: int = 300 * MS,
         s_low.add(0, [bounds.lower])
         s_meas.add(0, aurs)
         s_high.add(0, [bounds.upper])
-        out.extend([s_low, s_meas, s_high])
-    return _finish(FigureResult(
-        figure="Lemmas 4-5",
-        title="AUR Bounds (lock-free and lock-based)",
-        x_label="-",
-        series=out,
-        notes="Soundness requires lower <= measured <= upper.",
-    ), engine, owned)
+        result.series.extend([s_low, s_meas, s_high])
+        aur = s_meas.means()[0]
+        result.claim(f"Lem. {lemma}", f"AUR {sync} - lower bound", ">=",
+                     -0.02, aur - bounds.lower)
+        result.claim(f"Lem. {lemma}", f"AUR {sync} - upper bound", "<=",
+                     0.02, aur - bounds.upper)
+    return _finish(result, engine, owned)
 
 
 # ---------------------------------------------------------------------
@@ -503,7 +631,7 @@ def thm3_sojourn(repeats: int = 3, horizon: int = 100 * MS,
         u_i=task.compute_time, interference=0, r=r, s=s,
         m_i=task.access_count, n_i=2 * task.arrival.max_arrivals + x,
         a_i=task.arrival.max_arrivals, x_i=x)
-    return _finish(FigureResult(
+    result = FigureResult(
         figure="Theorem 3",
         title="sojourn comparison",
         x_label="-",
@@ -520,7 +648,15 @@ def thm3_sojourn(repeats: int = 3, horizon: int = 100 * MS,
             "simulated mean sojourn lock-based [ns]": (lb_sojourn, ".0f"),
             "simulated mean sojourn lock-free [ns]": (lf_sojourn, ".0f"),
         },
-    ), engine, owned)
+    )
+    result.claim("Thm. 3", "s/r", "<", 2 / 3, comparison.ratio)
+    result.claim("Thm. 3", "s/r - exact threshold", "<", 0,
+                 comparison.ratio - comparison.exact_threshold)
+    result.claim("Thm. 3", "bound lock-free / lock-based", "<", 1,
+                 comparison.lockfree / comparison.lockbased)
+    result.claim("Thm. 3", "simulated mean sojourn lock-free / lock-based",
+                 "<", 1, lf_sojourn / lb_sojourn)
+    return _finish(result, engine, owned)
 
 
 # ---------------------------------------------------------------------
@@ -546,9 +682,21 @@ def retry_policy_ablation(repeats: int = 3, horizon: int = 200 * MS,
             sum(r.total_retries for r in results) / len(results), ".1f")
         scalars[f"{policy.name} mean AUR"] = (
             sum(r.aur for r in results) / len(results), ".3f")
-    return _finish(FigureResult(
+    result = FigureResult(
         figure="Ablation",
         title="lock-free retry policy",
         x_label="-",
         scalars=scalars,
-    ), engine, owned)
+    )
+    # ON_PREEMPTION also restarts on preemptions without a conflicting
+    # commit, so it retries more and accrues less.
+    retries = result.scalar("ON_PREEMPTION mean retries/run")
+    result.claim("Thm. 2 proof", "ON_PREEMPTION - ON_CONFLICT retries/run",
+                 ">=", 0,
+                 retries - result.scalar("ON_CONFLICT mean retries/run"))
+    result.claim("Thm. 2 proof", "ON_PREEMPTION retries/run", ">", 0,
+                 retries)
+    result.claim("Thm. 2 proof", "ON_PREEMPTION - ON_CONFLICT AUR", "<=",
+                 0.02, result.scalar("ON_PREEMPTION mean AUR")
+                 - result.scalar("ON_CONFLICT mean AUR"))
+    return _finish(result, engine, owned)

@@ -25,8 +25,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                           "PROFILE_WORKLOADS", "PROFILE_SYNCS"),
     # metrics registry & live /metrics endpoint
     "repro.obs.metrics": ("MetricsRegistry", "MetricsServer",
-                          "snapshot_openmetrics", "fill_from_observer",
-                          "fill_from_degradation"),
+                          "snapshot_openmetrics", "fill_from_observer"),
     # perf-regression gate over committed trajectories
     "repro.obs.regress": ("append_trajectory", "load_trajectory",
                           "check_trajectories", "judge_series",

@@ -3,20 +3,15 @@
 The capture layer (:mod:`repro.obs.observer`) records flat dotted
 counters and raw-value histograms.  This module is the *export* side of
 that telemetry: a small Prometheus-style registry —
-:class:`Counter` / :class:`Gauge` / :class:`Histogram` families with
+:class:`Counter` / :class:`Gauge` / :class:`Summary` families with
 label sets — rendered as `OpenMetrics`_ text, plus a stdlib-only HTTP
 server so a long campaign is scrapeable live at ``/metrics``.
 
-Two bridges feed the registry:
-
-* :func:`fill_from_observer` maps the observer's dotted counter names
-  into labeled families (``retries.<obj>`` becomes
-  ``repro_object_retries_total{object="<obj>"}``, campaign/kernel/
-  invariant counters get their own families) and exports every observer
-  histogram as an OpenMetrics summary (count, sum, p50/p90 quantiles);
-* :func:`fill_from_degradation` exports a
-  :class:`~repro.faults.report.DegradationReport` — most importantly the
-  per-monitor invariant-violation series.
+:func:`fill_from_observer` feeds the registry: it maps the observer's
+dotted counter names into labeled families (``retries.<obj>`` becomes
+``repro_object_retries_total{object="<obj>"}``, campaign/kernel/
+invariant counters get their own families) and exports every observer
+histogram as an OpenMetrics summary (count, sum, p50/p90 quantiles).
 
 Everything is stdlib-only and thread-safe: the campaign engine mutates
 its observer from the driving thread while the HTTP server snapshots a
@@ -34,7 +29,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.report import DegradationReport
     from repro.obs.observer import NullObserver
 
 _NAME_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -167,59 +161,6 @@ class Gauge(_MetricFamily):
                 for labels, value in items]
 
 
-#: Default histogram buckets: wide log-ish spread that covers both
-#: sub-second trial walls and nanosecond-scale simulated quantities.
-DEFAULT_BUCKETS = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0,
-                   1e6, 1e9, float("inf"))
-
-
-class Histogram(_MetricFamily):
-    """Bucketed distribution with ``_bucket``/``_sum``/``_count``."""
-
-    kind = "histogram"
-
-    def __init__(self, name: str, help_text: str = "",
-                 labelnames: Iterable[str] = (),
-                 buckets: Iterable[float] = DEFAULT_BUCKETS) -> None:
-        super().__init__(name, help_text, labelnames)
-        bounds = sorted(float(b) for b in buckets)
-        if not bounds or bounds[-1] != float("inf"):
-            bounds.append(float("inf"))
-        self.buckets = tuple(bounds)
-        # label key -> (per-bucket cumulative-eligible counts, sum, count)
-        self._state: dict[tuple[tuple[str, str], ...],
-                          tuple[list[int], float, int]] = {}
-
-    def observe(self, value: float, **labels: Any) -> None:
-        key = self._key(labels)
-        with self._lock:
-            counts, total, n = self._state.get(
-                key, ([0] * len(self.buckets), 0.0, 0))
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    counts[i] += 1
-                    break
-            self._state[key] = (counts, total + float(value), n + 1)
-
-    def samples(self) -> list[str]:
-        with self._lock:
-            items = sorted((k, (list(c), t, n))
-                           for k, (c, t, n) in self._state.items())
-        out: list[str] = []
-        for labels, (counts, total, n) in items:
-            cumulative = 0
-            for bound, count in zip(self.buckets, counts):
-                cumulative += count
-                le = "+Inf" if bound == float("inf") else _format_value(bound)
-                bucket_labels = labels + (("le", le),)
-                out.append(f"{self.name}_bucket{_labels_text(bucket_labels)} "
-                           f"{cumulative}")
-            out.append(f"{self.name}_count{_labels_text(labels)} {n}")
-            out.append(f"{self.name}_sum{_labels_text(labels)} "
-                       f"{_format_value(total)}")
-        return out
-
-
 class Summary(_MetricFamily):
     """Pre-aggregated quantiles (the observer's histogram digests)."""
 
@@ -282,12 +223,6 @@ class MetricsRegistry:
               labelnames: Iterable[str] = ()) -> Gauge:
         return self._register(Gauge(name, help_text, labelnames))  # type: ignore[return-value]
 
-    def histogram(self, name: str, help_text: str = "",
-                  labelnames: Iterable[str] = (),
-                  buckets: Iterable[float] = DEFAULT_BUCKETS) -> Histogram:
-        return self._register(
-            Histogram(name, help_text, labelnames, buckets))  # type: ignore[return-value]
-
     def summary(self, name: str, help_text: str = "",
                 labelnames: Iterable[str] = ()) -> Summary:
         return self._register(Summary(name, help_text, labelnames))  # type: ignore[return-value]
@@ -308,7 +243,7 @@ class MetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# Observer / degradation bridges
+# Observer bridge
 # ----------------------------------------------------------------------
 
 #: Dotted-prefix -> (family, label name, help) routing for observer
@@ -400,35 +335,7 @@ def fill_from_observer(registry: MetricsRegistry,
     return registry
 
 
-def fill_from_degradation(registry: MetricsRegistry,
-                          report: "DegradationReport") -> MetricsRegistry:
-    """Export a degradation report: per-monitor invariant-violation
-    counts plus the shed/defer/abort degradation counters."""
-    violations = registry.counter(
-        "repro_invariant_violations",
-        "Runtime invariant violations per monitor", ("monitor",))
-    total = registry.counter(
-        "repro_invariant_violations_detected",
-        "Total runtime invariant violations across monitors")
-    by_monitor: dict[str, int] = {}
-    for violation in report.violations:
-        by_monitor[violation.monitor] = by_monitor.get(
-            violation.monitor, 0) + 1
-    for monitor in sorted(by_monitor):
-        violations.inc(by_monitor[monitor], monitor=monitor)
-        total.inc(by_monitor[monitor])
-    degradation = registry.counter(
-        "repro_degradation_actions",
-        "Graceful-degradation actions taken by the kernel", ("action",))
-    for action, value in (("shed", report.shed_jobs),
-                          ("deferred", report.deferred_jobs),
-                          ("retry_abort", report.retry_aborts)):
-        degradation.inc(value, action=action)
-    return registry
-
-
 def snapshot_openmetrics(observer: "NullObserver | None" = None,
-                         degradation: "DegradationReport | None" = None,
                          extra: Callable[[MetricsRegistry], None] | None
                          = None) -> str:
     """One consistent OpenMetrics document from the current telemetry.
@@ -441,8 +348,6 @@ def snapshot_openmetrics(observer: "NullObserver | None" = None,
     declare_standard_families(registry)
     if observer is not None:
         fill_from_observer(registry, observer)
-    if degradation is not None:
-        fill_from_degradation(registry, degradation)
     if extra is not None:
         extra(registry)
     return registry.render()

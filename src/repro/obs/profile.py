@@ -107,9 +107,7 @@ def run_profile(workload: str = "step",
     ``"conflict"`` switches to the optimistic commit-conflict model the
     figure campaigns use.
     """
-    from repro.api import build_policy_and_mode
-    from repro.arrivals.generators import generator_for
-    from repro.sim.kernel import Kernel, SimulationConfig
+    from repro.experiments.runner import run_once
     from repro.sim.objects import RetryPolicy
 
     retry = {"preemption": RetryPolicy.ON_PREEMPTION,
@@ -122,25 +120,10 @@ def run_profile(workload: str = "step",
     rng = random.Random(seed)
     tasks = build_profile_tasks(workload, rng, n_tasks=n_tasks,
                                 n_objects=n_objects, load=load)
-    traces = [
-        generator_for(task.arrival, "uniform").generate(rng, horizon)
-        for task in tasks
-    ]
-    policy, mode, costs = build_policy_and_mode(sync)
     obs = observer if observer is not None else Observer()
-    config = SimulationConfig(
-        tasks=tasks,
-        arrival_traces=traces,
-        policy=policy,
-        horizon=horizon,
-        sync=mode,
-        costs=costs,
-        retry_policy=retry,
-        observer=obs,
-    )
-    kernel = Kernel(config)
     wall_start = time.perf_counter()
-    result = kernel.run()
+    result = run_once(tasks, sync, horizon, rng, retry_policy=retry,
+                      observer=obs)
     wall_s = time.perf_counter() - wall_start
     return ProfileResult(
         workload=workload,

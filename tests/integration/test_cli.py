@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
+from repro.campaign import CampaignStats
 from repro.cli import FIGURES, main
+from repro.experiments.figures import FigureResult
+from repro.experiments.stats import Series
 from repro.units import MS
 
 
@@ -42,8 +47,6 @@ class TestFigure:
     @pytest.fixture
     def figure_calls(self, monkeypatch):
         """Replace fig9 and fig10 by recorders of their arguments."""
-        from repro.experiments.figures import FigureResult
-
         calls = []
 
         def record(name):
@@ -71,13 +74,37 @@ class TestFigure:
         assert [kwargs["horizon"] for _, kwargs in figure_calls] == [
             100 * MS, 30 * MS]
 
+    @pytest.fixture
+    def violated(self, monkeypatch):
+        """Replace fig10 by a figure whose data violates its claim; a test
+        may set ``violated["campaign"]`` to the campaign stats it reports."""
+        stats = {}
 
-class TestRetryBound:
-    def test_bound_holds(self, capsys):
-        assert main(["retrybound", "--repeats", "1",
-                     "--horizon-ms", "100"]) == 0
-        out = capsys.readouterr().out
-        assert "bound holds" in out
+        def figure(**kwargs):
+            aur = Series(label="AUR lock-free")
+            aur.add(1, [0.5])
+            result = FigureResult(figure="Figure X", title="t",
+                                  x_label="x", series=[aur],
+                                  campaign=stats.get("campaign"))
+            result.claim("§6 Fig. X", "min AUR lock-free", ">", 0.95,
+                         min(aur.means()))
+            return result
+
+        monkeypatch.setitem(FIGURES, "fig10", figure)
+        return stats
+
+    def test_failed_claim_exits_1(self, violated, tmp_path, capsys):
+        path = tmp_path / "fig.json"
+        assert main(["figure", "fig10", "--json", str(path)]) == 1
+        assert ("FAIL [§6 Fig. X] min AUR lock-free > 0.95: observed 0.5"
+                in capsys.readouterr().out)
+        payload = json.loads(path.read_text())
+        assert payload["exit_code"] == 1
+        assert [claim["passed"] for claim in payload["claims"]] == [False]
+
+    def test_failed_campaign_still_exits_4(self, violated, capsys):
+        violated["campaign"] = CampaignStats(trials=1, failed_trials=1)
+        assert main(["figure", "fig10"]) == 4
 
 
 class TestFaults:

@@ -89,9 +89,6 @@ COMMANDS = {
     "figure": lambda tmp: ["figure", "fig10", "--repeats", "1",
                            "--horizon-ms", "5",
                            "--journal", str(tmp / "figure.jsonl")],
-    "retrybound": lambda tmp: ["retrybound", "--repeats", "1",
-                               "--horizon-ms", "10",
-                               "--journal", str(tmp / "retry.jsonl")],
     "faults": lambda tmp: ["faults", "--bursts", "0,1", "--repeats", "1",
                            "--horizon-ms", "5",
                            "--journal", str(tmp / "faults.jsonl")],

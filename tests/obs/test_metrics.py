@@ -1,4 +1,4 @@
-"""Unit tests for the labeled metrics registry, the observer bridges,
+"""Unit tests for the labeled metrics registry, the observer bridge,
 and the stdlib /metrics endpoint."""
 
 import urllib.error
@@ -7,18 +7,15 @@ import urllib.request
 import pytest
 
 from repro.campaign import CampaignConfig, CampaignEngine
-from repro.faults.report import DegradationReport, InvariantViolation
 from repro.obs import Observer
 from repro.obs.metrics import (
     OPENMETRICS_CONTENT_TYPE,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     MetricsServer,
     Summary,
     declare_standard_families,
-    fill_from_degradation,
     fill_from_observer,
     sanitize_metric_name,
     snapshot_openmetrics,
@@ -83,24 +80,6 @@ class TestGauge:
         gauge.inc(2.5)
         assert gauge.value() == 7.5
         assert gauge.samples() == ["depth 7.5"]
-
-
-class TestHistogram:
-    def test_buckets_are_cumulative(self):
-        hist = Histogram("lat", buckets=(1.0, 10.0))
-        for value in (0.5, 0.7, 5.0, 100.0):
-            hist.observe(value)
-        assert hist.samples() == [
-            'lat_bucket{le="1"} 2',
-            'lat_bucket{le="10"} 3',
-            'lat_bucket{le="+Inf"} 4',
-            "lat_count 4",
-            "lat_sum 106.2",
-        ]
-
-    def test_inf_bucket_always_present(self):
-        hist = Histogram("lat", buckets=(1.0,))
-        assert hist.buckets[-1] == float("inf")
 
 
 class TestSummary:
@@ -182,26 +161,6 @@ class TestObserverBridge:
                                   NULL_OBSERVER).render() == base
         assert fill_from_observer(MetricsRegistry(),
                                   Observer()).render() == base
-
-
-class TestDegradationBridge:
-    def test_violations_and_actions(self):
-        report = DegradationReport(shed_jobs=2, deferred_jobs=1,
-                                   retry_aborts=3)
-        report.violations.extend([
-            InvariantViolation(time=10, monitor="retry-bound", job="T0#0"),
-            InvariantViolation(time=20, monitor="retry-bound", job="T1#0"),
-            InvariantViolation(time=30, monitor="feasibility", job=""),
-        ])
-        text = fill_from_degradation(MetricsRegistry(), report).render()
-        assert ('repro_invariant_violations_total'
-                '{monitor="retry-bound"} 2') in text
-        assert ('repro_invariant_violations_total'
-                '{monitor="feasibility"} 1') in text
-        assert "repro_invariant_violations_detected_total 3" in text
-        assert 'repro_degradation_actions_total{action="shed"} 2' in text
-        assert ('repro_degradation_actions_total'
-                '{action="retry_abort"} 3') in text
 
 
 class TestSnapshot:
