@@ -45,6 +45,7 @@ from repro.campaign.spec import (
     CampaignConfig,
     CampaignResult,
     CampaignStats,
+    TrialFailure,
     TrialOutcome,
     TrialSpec,
 )
@@ -180,28 +181,34 @@ class CampaignEngine:
         for failure in outcome.failures:
             self.obs.counter(f"campaign.attempt_failures.{failure.kind}")
 
-    def _trial_context(self, spec: TrialSpec, gidx: int, attempt: int):
-        """A :class:`~repro.campaign.resume.TrialContext` for this
-        attempt, or None when the trial does not checkpoint (no
-        ``checkpoint_dir``, or the function never asked for one)."""
-        if not self.config.checkpoint_dir:
-            return None
-        if not getattr(spec.fn, "wants_trial_context", False):
-            return None
-        from repro.campaign.resume import TrialContext
+    def _checkpoints(self, spec: TrialSpec) -> bool:
+        """Whether ``spec``'s attempts get a ``_trial=`` context: there
+        is a ``checkpoint_dir`` and the function asked for one."""
+        return bool(self.config.checkpoint_dir) and \
+            getattr(spec.fn, "wants_trial_context", False)
 
-        return TrialContext(index=gidx, attempt=attempt,
-                            checkpoint_dir=self.config.checkpoint_dir)
-
-    def _recovery_info(self, spec: TrialSpec,
-                       gidx: int) -> dict[str, Any] | None:
+    def _recovery_info(self, gidx: int, failures: list[TrialFailure],
+                       notes: list[dict[str, Any]]
+                       ) -> dict[str, Any] | None:
         """Summarize the trial's checkpoint lineage for the outcome and
-        journal; projects the recovery counters into the observer."""
-        if self._trial_context(spec, gidx, 0) is None:
-            return None
-        from repro.campaign.resume import CheckpointStore
+        journal; projects the recovery counters into the observer.
 
-        lineage = CheckpointStore(self.config.checkpoint_dir).lineage(gidx)
+        ``notes`` came back beside the value of the successful attempt.
+        A failed attempt's start note is read from the lineage sidecar
+        when that attempt resumed (the only time one is written), and is
+        otherwise determined by its attempt number; so a clean trial
+        reads no file.
+        """
+        lineage: list[dict[str, Any]] = []
+        if failures:
+            from repro.campaign.resume import CheckpointStore, start_note
+
+            sidecar = {entry.get("attempt"): entry for entry in
+                       CheckpointStore(self.config.checkpoint_dir)
+                       .lineage(gidx) if entry.get("resumed")}
+            lineage = [sidecar.get(f.attempt) or start_note(f.attempt)
+                       for f in failures]
+        lineage += notes
         if not lineage:
             return None
         resumed = [e for e in lineage if e.get("resumed")]
@@ -222,13 +229,17 @@ class CampaignEngine:
         }
 
     def _work(self, spec: TrialSpec, gidx: int, attempt: int):
-        """One attempt's ``(fn, args, kwargs)``: the spec's own call, plus
-        a ``_trial=`` context when the trial checkpoints."""
-        kwargs = dict(spec.kwargs)
-        context = self._trial_context(spec, gidx, attempt)
-        if context is not None:
-            kwargs["_trial"] = context
-        return spec.fn, spec.args, kwargs
+        """One attempt's ``(fn, args, kwargs)``: the spec's own call, or,
+        when the trial checkpoints, that call with a ``_trial=`` context
+        wrapped so that it returns ``(value, lineage notes)``."""
+        if not self._checkpoints(spec):
+            return spec.fn, spec.args, dict(spec.kwargs)
+        from repro.campaign.resume import TrialContext, run_attempt
+
+        context = TrialContext(index=gidx, attempt=attempt,
+                               checkpoint_dir=self.config.checkpoint_dir)
+        return run_attempt, (context, spec.fn, spec.args,
+                             dict(spec.kwargs)), {}
 
     def _pool(self) -> WorkerPool:
         cfg = self.config
@@ -252,12 +263,16 @@ class CampaignEngine:
             for delay in result.backoffs:
                 self.obs.counter("campaign.retries")
                 self.obs.histogram("campaign.backoff_s", delay)
-        outcome = TrialOutcome(index=gidx, ok=ok,
-                               value=result.value if ok else None,
+        value = result.value if ok else None
+        recovery = None
+        if self._checkpoints(spec):       # run_attempt's (value, notes)
+            value, notes = value if ok else (None, [])
+            recovery = self._recovery_info(gidx, result.failures, notes)
+        outcome = TrialOutcome(index=gidx, ok=ok, value=value,
                                attempts=result.attempts,
                                failures=result.failures,
                                wall_s=result.wall_s if ok else None,
-                               recovery=self._recovery_info(spec, gidx))
+                               recovery=recovery)
         if self._journal is not None:
             self._journal.record(outcome)
             self.obs.counter("campaign.journal_writes")

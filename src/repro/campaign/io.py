@@ -1,13 +1,17 @@
 """Durability primitives: atomic writes, an append log, a verified store.
 
-Every durable byte the repo writes goes through this module (DESIGN.md
-§15, "durability primitives"):
+Every durable byte the repo writes goes through this module, and this
+module alone calls :func:`os.fsync` (DESIGN.md §15, "durability
+primitives"):
 
 * :func:`atomic_write` — the payload lands in a temporary file in the
   target directory, is flushed and fsynced, and is then moved over the
   destination with :func:`os.replace`.  An interrupt (SIGKILL, power
   loss, a crashed worker) leaves either the previous artifact or the new
-  one, never a truncated hybrid.
+  one, never a truncated hybrid.  ``durable=False`` keeps the rename and
+  drops both fsyncs: a ``kill -9`` still leaves the old or the new file,
+  but an OS crash may leave a torn one, so it is only for files a reader
+  verifies and can recompute (campaign checkpoints).
 * :class:`AppendLog` — a JSONL log whose appends are fsynced before they
   return.  Opening it pins the directory entry and terminates a torn
   final line, so the next record is never glued onto the torn bytes;
@@ -32,8 +36,9 @@ T = TypeVar("T")
 
 
 def atomic_write(path: str | os.PathLike, data: str | bytes, *,
-                 encoding: str = "utf-8") -> Path:
-    """Write ``data`` to ``path`` atomically (temp file + fsync + rename).
+                 encoding: str = "utf-8", durable: bool = True) -> Path:
+    """Write ``data`` to ``path`` atomically (temp file + fsync + rename;
+    without the file and directory fsyncs when ``durable`` is false).
 
     Parent directories are created as needed.  Returns the final path.
     """
@@ -47,13 +52,15 @@ def atomic_write(path: str | os.PathLike, data: str | bytes, *,
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    _fsync_dir(target.parent)
+    if durable:
+        _fsync_dir(target.parent)
     return target
 
 
@@ -168,7 +175,9 @@ class VerifiedStore:
     """Blob files under ``root``, verified on every read.
 
     Writes go through :func:`atomic_write`, so a reader sees the old
-    blob or the complete new one.  Reads hand the text to a decoder
+    blob or the complete new one; a write with ``durable=False`` skips
+    the fsyncs, and the read-side verification is what catches a blob an
+    OS crash tore.  Reads hand the text to a decoder
     supplied by the caller, which raises :class:`ValueError`,
     :class:`KeyError` or :class:`TypeError` on any defect; a defective
     or unreadable blob is moved into ``root/quarantine/`` (evidence is
@@ -180,8 +189,8 @@ class VerifiedStore:
         self._lock = threading.Lock()
         self.corrupt = 0
 
-    def write(self, path: Path, text: str) -> Path:
-        return atomic_write(path, text)
+    def write(self, path: Path, text: str, *, durable: bool = True) -> Path:
+        return atomic_write(path, text, durable=durable)
 
     def read(self, path: Path, decode: Callable[[str], T]) -> T | None:
         """``decode(text)`` of the blob at ``path``, or ``None`` when it

@@ -9,16 +9,22 @@ byte-identical to an uninterrupted run.
 
 Pieces:
 
-* :class:`CheckpointStore` — durable per-trial-index checkpoint files
+* :class:`CheckpointStore` — per-trial-index checkpoint files
   (``trial-<gidx>.ckpt.json``) in a
-  :class:`~repro.campaign.io.VerifiedStore`, written atomically so a
-  mid-write kill can never tear one.  A corrupt or tampered checkpoint
+  :class:`~repro.campaign.io.VerifiedStore`, written by atomic rename
+  without fsync, so a mid-write kill can never tear one and an OS crash
+  costs at most a recomputation.  A corrupt, torn or tampered checkpoint
   is **quarantined** (moved into ``quarantine/`` for post-mortem, like
   the serve result cache) and reported as absent, so the retry falls
   back to from-zero instead of trusting it.
-  The store also keeps a per-trial *lineage* sidecar recording every
-  attempt — whether it resumed, from which simulated clock, how many
-  checkpoints it wrote — which the engine folds into the journal.
+* *Lineage* — each attempt notes whether it resumed and from which
+  simulated clock, and on completion how many checkpoints it wrote.
+  The notes travel back beside the trial's value (:func:`run_attempt`)
+  and the engine folds them into the journal record.  Only an attempt
+  that resumes also writes its start note to the trial's fsynced
+  lineage sidecar, so the record of a retry that later dies survives
+  for the journal; a non-resumed attempt's note is fully determined by
+  its attempt number (:func:`start_note`).
 * :class:`TrialContext` — the frozen, picklable handle the engine
   injects (keyword ``_trial=``) into trial functions that declare
   ``wants_trial_context = True``.
@@ -38,9 +44,9 @@ from __future__ import annotations
 import json
 import os
 import signal
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.campaign.io import VerifiedStore
 from repro.sim.checkpoint import CheckpointPolicy, KernelCheckpoint
@@ -55,10 +61,37 @@ class TrialContext:
     index: int              # global trial index (stable across retries)
     attempt: int            # 0-based attempt number of this execution
     checkpoint_dir: str     # CheckpointStore root
+    #: This attempt's lineage notes, filled in by the trial in its worker
+    #: and returned beside its value by :func:`run_attempt`.
+    notes: list[dict[str, Any]] = field(default_factory=list,
+                                        compare=False, repr=False)
+
+
+def run_attempt(context: TrialContext, fn: Callable[..., Any],
+                args: tuple, kwargs: dict[str, Any]
+                ) -> tuple[Any, list[dict[str, Any]]]:
+    """One checkpointing attempt, run where the trial runs:
+    ``(value, notes)``, so the lineage never enters the value."""
+    value = fn(*args, _trial=context, **kwargs)
+    return value, context.notes
+
+
+def start_note(attempt: int,
+               resume_from: KernelCheckpoint | None = None
+               ) -> dict[str, Any]:
+    """The lineage note that opens an attempt."""
+    return {
+        "attempt": attempt,
+        "resumed": resume_from is not None,
+        "resume_clock": None if resume_from is None else resume_from.clock,
+        "resume_events": (None if resume_from is None
+                          else resume_from.events_handled),
+    }
 
 
 class CheckpointStore(VerifiedStore):
-    """Per-trial checkpoint + lineage files under one directory."""
+    """Per-trial checkpoint files, and lineage sidecars for resumed
+    attempts, under one directory."""
 
     def checkpoint_path(self, index: int) -> Path:
         return self.root / f"trial-{index}.ckpt.json"
@@ -71,10 +104,12 @@ class CheckpointStore(VerifiedStore):
     # ------------------------------------------------------------------
 
     def save(self, index: int, checkpoint: KernelCheckpoint) -> None:
-        """Durably persist the trial's latest checkpoint (atomic
-        replace; a ``kill -9`` leaves either the previous checkpoint or
-        the complete new one, never a torn hybrid)."""
-        self.write(self.checkpoint_path(index), checkpoint.to_json() + "\n")
+        """Persist the trial's latest checkpoint by atomic replace,
+        without fsync: a ``kill -9`` leaves either the previous
+        checkpoint or the complete new one, never a torn hybrid; a file
+        an OS crash tears fails :meth:`load` and the trial restarts."""
+        self.write(self.checkpoint_path(index), checkpoint.to_json() + "\n",
+                   durable=False)
 
     def load(self, index: int) -> KernelCheckpoint | None:
         """The trial's last *valid* checkpoint, or None.
@@ -87,8 +122,8 @@ class CheckpointStore(VerifiedStore):
                          KernelCheckpoint.from_json)
 
     def clear(self, index: int) -> None:
-        """Drop the trial's checkpoint (called on success; the lineage
-        sidecar is kept as the journal's evidence trail)."""
+        """Drop the trial's checkpoint (called on success; a lineage
+        sidecar is kept as the evidence trail of its resumes)."""
         try:
             self.checkpoint_path(index).unlink(missing_ok=True)
         except OSError:  # pragma: no cover - best-effort cleanup
@@ -99,7 +134,8 @@ class CheckpointStore(VerifiedStore):
     # ------------------------------------------------------------------
 
     def note_attempt(self, index: int, entry: dict[str, Any]) -> None:
-        """Append one attempt record to the trial's lineage sidecar."""
+        """Durably append one attempt record to the trial's lineage
+        sidecar."""
         lineage = self.lineage(index)
         lineage.append(entry)
         self.write(self.lineage_path(index),
@@ -136,8 +172,8 @@ def simulate_scenario_trial(scenario_dict: dict[str, Any],
 
     ``crash_after_checkpoints`` (test/harness hook): on attempt
     ``crash_on_attempt``, the process SIGKILLs itself after that many
-    checkpoints have been durably written — a real, unhandled worker
-    death mid-trial.
+    checkpoints have been written — a real, unhandled worker death
+    mid-trial.
     """
     from repro.api import simulate
     from repro.scenario import Scenario
@@ -149,13 +185,10 @@ def simulate_scenario_trial(scenario_dict: dict[str, Any],
 
     store = CheckpointStore(_trial.checkpoint_dir)
     resume_from = store.load(_trial.index)
-    store.note_attempt(_trial.index, {
-        "attempt": _trial.attempt,
-        "resumed": resume_from is not None,
-        "resume_clock": None if resume_from is None else resume_from.clock,
-        "resume_events": (None if resume_from is None
-                          else resume_from.events_handled),
-    })
+    note = start_note(_trial.attempt, resume_from)
+    if resume_from is not None:
+        store.note_attempt(_trial.index, note)
+    _trial.notes.append(note)
     written = 0
 
     def sink(checkpoint: KernelCheckpoint) -> None:
@@ -172,7 +205,7 @@ def simulate_scenario_trial(scenario_dict: dict[str, Any],
                            every_events=every_events),
                        checkpoint_sink=sink,
                        resume_from=resume_from)
-    store.note_attempt(_trial.index, {
+    _trial.notes.append({
         "attempt": _trial.attempt,
         "completed": True,
         "checkpoints_written": written,

@@ -92,9 +92,10 @@ class TrialOutcome:
     #: Wall-clock seconds of the successful attempt (submit-to-done under
     #: parallel execution); None for journal hits and failed trials.
     wall_s: float | None = None
-    #: Checkpoint lineage for crash-recoverable trials: attempt records
-    #: from the trial's CheckpointStore sidecar plus resume accounting
-    #: (see DESIGN.md §15).  None when the trial did not checkpoint.
+    #: Checkpoint lineage for crash-recoverable trials: the attempt
+    #: notes returned beside the value, and those of earlier resumed
+    #: attempts from the CheckpointStore sidecar, plus resume accounting
+    #: (see DESIGN.md §15.2).  None when the trial did not checkpoint.
     recovery: dict[str, Any] | None = None
 
     def to_dict(self) -> dict[str, Any]:

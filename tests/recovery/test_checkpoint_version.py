@@ -12,8 +12,8 @@ import json
 import pytest
 
 from repro.api import simulate
-from repro.campaign import CheckpointStore, simulate_scenario_trial
-from repro.campaign.resume import TrialContext
+from repro.campaign import (CampaignConfig, CampaignEngine, CheckpointStore,
+                            TrialSpec, simulate_scenario_trial)
 from repro.experiments.workloads import BuilderSpec
 from repro.scenario import Scenario
 from repro.sim.checkpoint import (CHECKPOINT_VERSION, CheckpointError,
@@ -55,13 +55,16 @@ def test_v1_file_in_the_store_is_quarantined_and_the_trial_restarts(
     store = CheckpointStore(tmp_path)
     store.checkpoint_path(0).write_text(_v1_text(scenario) + "\n",
                                         encoding="utf-8")
-    payload = simulate_scenario_trial(
-        scenario.to_dict(), every_events=EVERY_EVENTS,
-        _trial=TrialContext(index=0, attempt=0,
-                            checkpoint_dir=str(tmp_path)))
+    spec = TrialSpec(index=0, fn=simulate_scenario_trial,
+                     args=(scenario.to_dict(),),
+                     kwargs=(("every_events", EVERY_EVENTS),))
+    config = CampaignConfig(workers=1, checkpoint_dir=str(tmp_path))
+    with CampaignEngine(config, tag="t") as engine:
+        outcome = engine.run([spec]).outcomes[0]
     assert len(store.quarantined()) == 1
-    assert store.lineage(0)[0]["resumed"] is False
-    assert store.lineage(0)[-1]["completed"] is True
+    # A clean attempt's lineage comes back beside its value.
+    assert outcome.recovery["lineage"][0]["resumed"] is False
+    assert outcome.recovery["lineage"][-1]["completed"] is True
     clean = simulate_scenario_trial(scenario.to_dict())
-    assert json.dumps(payload, sort_keys=True) == \
+    assert json.dumps(outcome.value, sort_keys=True) == \
         json.dumps(clean, sort_keys=True)

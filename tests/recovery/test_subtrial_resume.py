@@ -115,10 +115,10 @@ class TestSerialResume:
             json.dumps(base, sort_keys=True)
         assert outcome.recovery["checkpoints_written"] > 0
         assert outcome.recovery["resumed_attempts"] == 0
-        # Success clears the checkpoint, keeps the lineage.
-        store = CheckpointStore(tmp_path)
-        assert not store.checkpoint_path(0).exists()
-        assert store.lineage(0)
+        # The lineage travels with the value; success clears the
+        # checkpoint, and a clean trial writes no sidecar.
+        assert outcome.recovery["lineage"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_without_checkpoint_dir_no_recovery(self):
         scenario = _scenario()
