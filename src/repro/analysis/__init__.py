@@ -23,7 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "SojournComparison", "blocking_count_bound", "compare_sojourn",
         "exact_ratio_threshold", "lockbased_sojourn_bound",
         "lockfree_sojourn_bound", "lockfree_wins_ratio_threshold",
-        "sufficient_ratio_for_lockfree",
     ),
     "repro.analysis.aur_bounds": (
         "AURBounds", "lemma4_lockfree_aur_bounds",

@@ -87,12 +87,6 @@ def exact_ratio_threshold(m_i: int, n_i: int, a_i: int, x_i: int) -> float:
     return (m_i + min(m_i, n_i)) / denominator
 
 
-def sufficient_ratio_for_lockfree() -> float:
-    """``r/s > 3/2`` is sufficient when ``m_i <= n_i`` (Theorem 3's
-    discussion)."""
-    return 1.5
-
-
 @dataclass(frozen=True)
 class SojournComparison:
     """Outcome of comparing the two worst-case sojourn bounds."""
@@ -104,11 +98,6 @@ class SojournComparison:
     exact_threshold: float         # threshold from the proof's X/Y
     lockfree_wins: bool            # bound comparison
     predicted_lockfree_wins: bool  # exact-threshold test
-
-    @property
-    def threshold(self) -> float:
-        """Backward-friendly alias for the paper's stated threshold."""
-        return self.paper_threshold
 
 
 def compare_sojourn(u_i: int, interference: int, r: float, s: float,

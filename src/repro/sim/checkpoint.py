@@ -3,7 +3,8 @@
 A :class:`KernelCheckpoint` is a *complete*, versioned, digest-stamped,
 JSON-serializable snapshot of a mid-run :class:`repro.sim.kernel.Kernel`:
 the event queue (raw heap order, so tie-breaking sequence numbers
-survive), every job's segment progress and synchronization state, the
+survive; events that can no longer act are kept as tombstones), every
+job's segment progress and synchronization state, the
 :class:`~repro.sim.locks.LockManager` and NBW
 :class:`~repro.sim.objects.LockFreeObjectTable` tables, the UAM
 admission-guard window counters, the fault injector's RNG stream and
@@ -39,7 +40,8 @@ from typing import TYPE_CHECKING, Any
 
 from repro.faults.report import InvariantViolation
 from repro.sim.engine import EventQueue
-from repro.sim.events import CriticalTimeExpiry, JobArrival, Milestone
+from repro.sim.events import (CriticalTimeExpiry, JobArrival, Milestone,
+                               Tombstone)
 from repro.sim.metrics import JobRecord, SimulationResult
 from repro.sim.objects import _ObjectState, _OpenAccess
 from repro.tasks.job import Job, JobState
@@ -61,9 +63,12 @@ __all__ = [
 #: Format generation of the checkpoint wire encoding.  Bumped on any
 #: incompatible change; restore refuses other generations outright
 #: (recomputing from zero is always safe, resuming across formats never
-#: is).  v2 stores jobs, queued events and result records as
-#: fixed-order rows instead of keyed objects.
-CHECKPOINT_VERSION = 2
+#: is).  v2 stored jobs, queued events and result records as
+#: fixed-order rows instead of keyed objects; v3 also holds at most one
+#: pending trace arrival per task (the kernel queues releases lazily)
+#: and writes events that can no longer act as tombstones, so the jobs
+#: that only they named are left out.
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -220,7 +225,14 @@ def fingerprint_result(result: SimulationResult) -> str:
 # A job row follows ``Job``'s field order with the task replaced by its
 # index; a record row follows ``JobRecord``'s; an event row starts with
 # its kind: ``["arrival", task_index, jid, injected, deferrals]``,
-# ``["expiry", job]`` or ``["milestone", job, token]``.
+# ``["expiry", job]`` or ``["milestone", job, token]``.  A milestone
+# whose token is superseded, or the timer of a departed job, can never
+# act again (dispatch tokens only grow, departed jobs never return), so
+# it is written as a bare ``null`` tombstone: restore still pops and
+# counts it under its heap key, but it keeps no job alive.
+
+#: The one restored tombstone; it carries no state.
+_TOMBSTONE = Tombstone()
 
 
 def _sorted_objs(objs) -> list:
@@ -262,19 +274,9 @@ def _decode_job(row: list, tasks) -> Job:
                dispatch_token=dispatch_token)
 
 
-def _encode_event(payload, job_index) -> list:
-    kind = type(payload)
-    if kind is Milestone:
-        return ["milestone", job_index[id(payload.job)], payload.token]
-    if kind is JobArrival:
-        return ["arrival", payload.task_index, payload.jid,
-                payload.injected, payload.deferrals]
-    if kind is CriticalTimeExpiry:
-        return ["expiry", job_index[id(payload.job)]]
-    raise CheckpointError(f"unknown event payload {payload!r}")
-
-
-def _decode_event(row: list, jobs: list[Job]):
+def _decode_event(row: list | None, jobs: list[Job]):
+    if row is None:
+        return _TOMBSTONE
     kind = row[0]
     if kind == "milestone":
         _, job, token = row
@@ -297,9 +299,9 @@ def snapshot_kernel(kernel: "Kernel") -> KernelCheckpoint:
     """Capture the kernel's complete mid-run state.
 
     Jobs are indexed canonically: the live set in arrival order first,
-    then any departed jobs still referenced from queued events (stale
-    abort timers, superseded milestones) in heap order.  Every other
-    table refers to jobs by that index.
+    then any other job a lock or lock-free table still names.  Every
+    other table refers to jobs by that index.  Queued events only name
+    live jobs: an event that can no longer act is a tombstone.
     """
     jobs: list[Job] = list(kernel._live)
     job_index: dict[int, int] = {id(job): i for i, job in enumerate(jobs)}
@@ -309,15 +311,27 @@ def snapshot_kernel(kernel: "Kernel") -> KernelCheckpoint:
             job_index[id(job)] = len(jobs)
             jobs.append(job)
 
-    # Heap jobs are indexed in heap order, each before its event row is
-    # encoded, so one pass does both.
+    running = kernel._running
     heap = []
     for time, priority, sequence, payload in kernel._queue._heap:
         kind = type(payload)
-        if kind is Milestone or kind is CriticalTimeExpiry:
-            _index_job(payload.job)
-        heap.append([time, int(priority), sequence,
-                     _encode_event(payload, job_index)])
+        if kind is JobArrival:
+            row = ["arrival", payload.task_index, payload.jid,
+                   payload.injected, payload.deferrals]
+        elif kind is Milestone:
+            job = payload.job
+            row = (["milestone", job_index[id(job)], payload.token]
+                   if job is running and payload.token == job.dispatch_token
+                   else None)
+        elif kind is CriticalTimeExpiry:
+            job = payload.job
+            row = (["expiry", job_index[id(job)]] if job.is_live
+                   else None)
+        elif kind is Tombstone:
+            row = None
+        else:
+            raise CheckpointError(f"unknown event payload {payload!r}")
+        heap.append([time, int(priority), sequence, row])
     locks = kernel._locks
     for owner in locks._owner.values():
         _index_job(owner)
@@ -572,9 +586,6 @@ def restore_kernel(config: "SimulationConfig",
         monitors._last_clock = state["monitors"]["last_clock"]
         monitors._flagged = {tuple(key)
                              for key in state["monitors"]["flagged"]}
-    # Older v2 checkpoints of traced runs also carry a ``trace`` key of
-    # kernel events; nothing is restored from it.
-
     # An abort requested before the snapshot names a pre-restore job,
     # not one of the restored objects.
     config.policy.clear_abort_requests()

@@ -4,7 +4,9 @@ Events are totally ordered by ``(time, priority, sequence)``: ties at the
 same instant break first by a small priority class (timers fire before
 arrivals, arrivals before execution milestones — see
 :class:`repro.sim.events.EventPriority`) and then by insertion order, which
-makes every simulation run exactly reproducible.
+makes every simulation run exactly reproducible.  A caller that knows
+future events before queueing them can :meth:`EventQueue.reserve` their
+sequence numbers and push each one later under its reserved number.
 """
 
 from __future__ import annotations
@@ -38,6 +40,19 @@ class EventQueue:
             raise ValueError(f"event time must be non-negative, got {time}")
         heapq.heappush(self._heap, (time, priority, self._sequence, payload))
         self._sequence += 1
+
+    def reserve(self, count: int) -> int:
+        """Set aside the next ``count`` sequence numbers for events pushed
+        later through :meth:`push_reserved`; returns the first."""
+        first = self._sequence
+        self._sequence += count
+        return first
+
+    def push_reserved(self, time: int, priority: int, sequence: int,
+                      payload: Any) -> None:
+        """Schedule ``payload`` under a sequence number taken by
+        :meth:`reserve` (each reserved number is pushed at most once)."""
+        heapq.heappush(self._heap, (time, priority, sequence, payload))
 
     def pop(self) -> tuple[int, Any]:
         """Remove and return the earliest ``(time, payload)`` pair."""

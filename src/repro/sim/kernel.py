@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -54,6 +55,7 @@ from repro.sim.events import (
     EventPriority,
     JobArrival,
     Milestone,
+    Tombstone,
 )
 from repro.sim.locks import LockManager
 from repro.sim.metrics import SimulationResult, record_of
@@ -157,7 +159,9 @@ class SimulationConfig:
 #: A checkpoint mark no event count or clock reaches.
 _NEVER = float("inf")
 
-#: Queue priority of a milestone, as the plain int the heap compares.
+#: Queue priorities of an arrival and a milestone, as the plain ints the
+#: heap compares.
+_ARRIVAL = int(EventPriority.ARRIVAL)
 _MILESTONE = int(EventPriority.MILESTONE)
 #: The dispatchable job states, tested by identity in the pass loop.
 _READY = JobState.READY
@@ -225,6 +229,21 @@ class Kernel:
         # jid counters continue past each declared trace so injected
         # burst arrivals get unique job names.
         self._next_jid = [len(t) for t in config.arrival_traces]
+        # Lazy arrivals: the queue holds each task's next trace release
+        # only.  Release ``jid`` of task ``i`` (one of the
+        # ``_trace_ends[i]`` below the horizon) is queued when release
+        # ``jid - 1`` is handled, under sequence number
+        # ``_trace_bases[i] + jid``: the number it would have drawn had
+        # every release been queued up front, task by task.  Sequence
+        # numbers for every other event start past the last of them, so
+        # heap keys and the pop order are those of up-front priming.
+        self._trace_ends = [bisect_left(trace, config.horizon)
+                            for trace in config.arrival_traces]
+        self._trace_bases = []
+        base = self._queue.reserve(sum(self._trace_ends))
+        for end in self._trace_ends:
+            self._trace_bases.append(base)
+            base += end
         #: The fixed kernel costs, read once.  The hot charge sites use
         #: them only while no injector runs; under one, every charge goes
         #: through ``_cost`` so jitter draws exactly as it always has.
@@ -240,7 +259,8 @@ class Kernel:
         self._last_ckpt_event = 0
         self._last_ckpt_clock = 0
         #: True on a kernel rebuilt by :meth:`restore`: ``run`` must not
-        #: re-prime arrivals (the queue already holds the future).
+        #: re-prime arrivals (the queue already holds each task's next
+        #: release).
         self._restored = False
 
     # ------------------------------------------------------------------
@@ -371,13 +391,14 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def _prime_arrivals(self) -> None:
-        # Traces are validated (sorted, non-negative) by the config.
-        for task_index, trace in enumerate(self.config.arrival_traces):
-            for jid, release in enumerate(trace):
-                if release >= self.config.horizon:
-                    break
-                self._queue.push(release, EventPriority.ARRIVAL,
-                                 JobArrival(task_index=task_index, jid=jid))
+        """Queue each task's first trace release and every injected
+        burst (bursts are not trace releases: they go in up front)."""
+        for task_index, end in enumerate(self._trace_ends):
+            if end:
+                self._queue.push_reserved(
+                    self.config.arrival_traces[task_index][0], _ARRIVAL,
+                    self._trace_bases[task_index],
+                    JobArrival(task_index=task_index, jid=0))
         if self._injector is not None:
             for release, task_index in self._injector.burst_arrivals(
                     self.config.horizon):
@@ -392,7 +413,17 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def _handle_arrival(self, event: JobArrival) -> None:
-        task = self.config.tasks[event.task_index]
+        task_index = event.task_index
+        if not event.injected and not event.deferrals:
+            # The task's next trace release, whatever admission decides
+            # about this one (see ``_trace_bases``).
+            jid = event.jid + 1
+            if jid < self._trace_ends[task_index]:
+                self._queue.push_reserved(
+                    self.config.arrival_traces[task_index][jid], _ARRIVAL,
+                    self._trace_bases[task_index] + jid,
+                    JobArrival(task_index, jid))
+        task = self.config.tasks[task_index]
         if self._admission is not None:
             decision, when = self._admission.decide(event.task_index,
                                                     self._clock)
@@ -454,6 +485,9 @@ class Kernel:
         segment = job.task.segment_at[job.segment_index]
         self._finish[type(segment)](self, job, segment)
 
+    def _handle_tombstone(self, event: Tombstone) -> None:
+        """A stale event restored from a checkpoint: nothing to do."""
+
     #: Event type -> handler, as plain functions called with the kernel.
     #: Class-level on purpose: a per-instance table of bound methods
     #: would make every kernel part of a reference cycle, freed only by
@@ -462,6 +496,7 @@ class Kernel:
         JobArrival: _handle_arrival,
         CriticalTimeExpiry: _handle_expiry,
         Milestone: _handle_milestone,
+        Tombstone: _handle_tombstone,
     }
 
     # ------------------------------------------------------------------

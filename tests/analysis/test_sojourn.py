@@ -9,7 +9,6 @@ from repro.analysis.sojourn import (
     lockbased_sojourn_bound,
     lockfree_sojourn_bound,
     lockfree_wins_ratio_threshold,
-    sufficient_ratio_for_lockfree,
 )
 
 
@@ -53,9 +52,6 @@ class TestThresholds:
             n = 2 * a + x  # maximum possible n_i
             if m > n:
                 assert lockfree_wins_ratio_threshold(m, n, a, x) < 1.0
-
-    def test_sufficient_ratio(self):
-        assert sufficient_ratio_for_lockfree() == 1.5
 
 
 class TestComparison:

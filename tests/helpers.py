@@ -6,6 +6,8 @@ scenarios read like the paper's workloads.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.arrivals import UAMSpec
 from repro.core.edf import EDF
 from repro.core.rua_lockbased import LockBasedRUA
@@ -127,3 +129,20 @@ def zero_cost_policy(kind: str):
     if kind == "rua-lockbased":
         return LockBasedRUA(cost_model=ZeroCost())
     raise ValueError(kind)
+
+
+def out_of_spec(scenario, every: int = 3):
+    """``scenario`` with its tasks and traces made explicit, and a second
+    release a third of a window after every ``every``-th one: trace
+    arrivals beyond the UAM envelope, which an admission guard sheds or
+    defers (an injected burst alone only ever has its own arrivals shed
+    or deferred)."""
+    tasks, traces = scenario.materialize()
+    twins = [[release + task.arrival.window // 3
+              for release in trace[::every]]
+             for task, trace in zip(tasks, traces)]
+    traces = [sorted(trace + [twin for twin in extra
+                              if twin < scenario.horizon])
+              for trace, extra in zip(traces, twins)]
+    return dataclasses.replace(scenario, workload=None, tasks=tuple(tasks),
+                               arrival_traces=traces)

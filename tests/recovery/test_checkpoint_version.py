@@ -2,7 +2,7 @@
 
 Resuming across formats is never safe, so a checkpoint whose digest
 matches but whose ``version`` is not :data:`CHECKPOINT_VERSION` raises
-:class:`CheckpointError`, and a v1 file left in a campaign's
+:class:`CheckpointError`, and a v1 or v2 file left in a campaign's
 :class:`CheckpointStore` is quarantined: the trial restarts from zero
 and returns the payload a clean run returns.
 """
@@ -20,6 +20,7 @@ from repro.sim.checkpoint import (CHECKPOINT_VERSION, CheckpointError,
                                   CheckpointPolicy, KernelCheckpoint)
 
 EVERY_EVENTS = 50
+OLD_VERSIONS = (1, 2)
 
 
 def _scenario() -> Scenario:
@@ -27,34 +28,38 @@ def _scenario() -> Scenario:
                     sync="lockfree", seed=7, horizon=15_000_000)
 
 
-def _v1_text(scenario: Scenario) -> str:
-    """A mid-run checkpoint whose digest matches its state but whose
-    envelope says format v1."""
+def _old_checkpoint(scenario: Scenario,
+                    version: int) -> tuple[KernelCheckpoint, str]:
+    """A mid-run checkpoint, and its text with a digest that matches its
+    state but an envelope that says format ``version``."""
     sink: list[KernelCheckpoint] = []
     simulate(scenario, checkpoints=CheckpointPolicy(every_events=EVERY_EVENTS),
              checkpoint_sink=sink.append)
     assert len(sink) > 2
     checkpoint = sink[len(sink) // 2]
     doc = json.loads(checkpoint.to_json())
-    doc["version"] = 1
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc["version"] = version
+    return checkpoint, json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def test_v1_checkpoint_with_matching_digest_is_refused():
-    assert CHECKPOINT_VERSION == 2
-    text = _v1_text(_scenario())
+@pytest.mark.parametrize("version", OLD_VERSIONS)
+def test_old_format_checkpoint_with_matching_digest_is_refused(version):
+    assert CHECKPOINT_VERSION == 3
+    _, text = _old_checkpoint(_scenario(), version)
     doc = json.loads(text)
     assert doc["digest"] == KernelCheckpoint.wrap(doc["state"]).digest
-    with pytest.raises(CheckpointError, match="v1"):
+    with pytest.raises(CheckpointError, match=f"v{version}"):
         KernelCheckpoint.from_json(text)
 
 
-def test_v1_file_in_the_store_is_quarantined_and_the_trial_restarts(
-        tmp_path):
+@pytest.mark.parametrize("version", OLD_VERSIONS)
+def test_old_format_file_in_the_store_is_quarantined_and_the_trial_restarts(
+        tmp_path, version):
     scenario = _scenario()
     store = CheckpointStore(tmp_path)
-    store.checkpoint_path(0).write_text(_v1_text(scenario) + "\n",
-                                        encoding="utf-8")
+    checkpoint, text = _old_checkpoint(scenario, version)
+    store.checkpoint_path(0, checkpoint.events_handled).write_text(
+        text + "\n", encoding="utf-8")
     spec = TrialSpec(index=0, fn=simulate_scenario_trial,
                      args=(scenario.to_dict(),),
                      kwargs=(("every_events", EVERY_EVENTS),))
@@ -62,6 +67,7 @@ def test_v1_file_in_the_store_is_quarantined_and_the_trial_restarts(
     with CampaignEngine(config, tag="t") as engine:
         outcome = engine.run([spec]).outcomes[0]
     assert len(store.quarantined()) == 1
+    assert store.checkpoint_paths(0) == []
     # A clean attempt's lineage comes back beside its value.
     assert outcome.recovery["lineage"][0]["resumed"] is False
     assert outcome.recovery["lineage"][-1]["completed"] is True

@@ -88,9 +88,10 @@ def cache_subject(tmp_path, checkpoint):
 
 def checkpoint_subject(tmp_path, checkpoint):
     store = CheckpointStore(tmp_path / "checkpoints")
+    path = store.checkpoint_path(0, checkpoint.events_handled)
 
     def defects():
-        good = store.checkpoint_path(0).read_text()
+        good = path.read_text()
         envelope = json.loads(good)
         tampered = json.loads(good)
         tampered["state"]["clock"] += 1                  # bit-flip, stale digest
@@ -105,7 +106,7 @@ def checkpoint_subject(tmp_path, checkpoint):
             None,                                        # unreadable
         ]
 
-    return Subject(store, store.checkpoint_path(0),
+    return Subject(store, path,
                    put=lambda: store.save(0, checkpoint),
                    get=lambda: store.load(0), good=checkpoint,
                    corrupt=lambda: store.corrupt, defects=defects)

@@ -72,7 +72,7 @@ class TestIdentityContract:
         restored = _decode_job(row, [job.task])
         assert restored.name == job.name == "T#0"
         assert restored is not job and restored != job
-        assert CHECKPOINT_VERSION == 2
+        assert CHECKPOINT_VERSION == 3
 
     def test_every_checkpointed_field_round_trips(self):
         """A non-default value for every init field but the task (the
