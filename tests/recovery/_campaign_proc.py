@@ -16,11 +16,13 @@ from repro.scenario import Scenario
 
 
 def scenarios(n_trials: int, seed: int):
-    # ~0.7s wall per trial: slow enough that the parent's SIGKILL lands
-    # mid-campaign, fast enough for CI.
+    # 0.2-1.3 s wall per checkpointed trial on a 2-vCPU host: slow
+    # enough that the parent's SIGKILL, sent up to 0.25 s after the
+    # trials it waits for are journaled, lands mid-campaign; fast enough
+    # for CI.
     return [Scenario(workload=BuilderSpec.make("paper", n_tasks=4),
                      sync="lockfree" if index % 2 == 0 else "lockbased",
-                     seed=seed + index, horizon=1_600_000_000)
+                     seed=seed + index, horizon=3_200_000_000)
             for index in range(n_trials)]
 
 

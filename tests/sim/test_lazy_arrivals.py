@@ -5,8 +5,8 @@ sequence number it would have drawn had every release been queued
 before the first event.  The reference below does exactly that up-front
 priming, with plain counter-numbered pushes, and the two kernels must pop
 the same ``(time, priority, sequence, kind)`` stream and produce the
-same result, also under injected bursts and an admission guard that
-sheds or defers.
+same result, also under injected bursts and out-of-spec trace releases
+that an admission guard sheds or defers.
 """
 
 import dataclasses
