@@ -9,17 +9,14 @@ byte-identical to an uninterrupted run.
 
 Pieces:
 
-* :class:`CheckpointStore` — per-trial checkpoint files in a
-  :class:`~repro.campaign.io.VerifiedStore`, one fresh name per
-  checkpoint (``trial-<gidx>.<events>.ckpt.json``, ``<events>`` the
-  kernel's handled-event count), each written by atomic rename without
-  fsync; the trial's older file is unlinked only once the new one is in
-  place.  A mid-write kill can never tear a checkpoint, and an OS crash
-  costs at most a recomputation.  Loading takes the newest checkpoint
-  that verifies: a corrupt, torn or tampered one is **quarantined**
-  (moved into ``quarantine/`` for post-mortem, like the serve result
-  cache) and the next older one is tried, so the retry falls back to an
-  older checkpoint or to from-zero instead of trusting it.
+* :class:`CheckpointStore` — per-trial-index checkpoint files
+  (``trial-<gidx>.ckpt.json``) in a
+  :class:`~repro.campaign.io.VerifiedStore`, written by atomic rename
+  without fsync, so a mid-write kill can never tear one and an OS crash
+  costs at most a recomputation.  A corrupt, torn or tampered checkpoint
+  is **quarantined** (moved into ``quarantine/`` for post-mortem, like
+  the serve result cache) and reported as absent, so the retry falls
+  back to from-zero instead of trusting it.
 * *Lineage* — each attempt notes whether it resumed and from which
   simulated clock, and on completion how many checkpoints it wrote.
   The notes travel back beside the trial's value (:func:`run_attempt`)
@@ -94,33 +91,10 @@ def start_note(attempt: int,
 
 class CheckpointStore(VerifiedStore):
     """Per-trial checkpoint files, and lineage sidecars for resumed
-    attempts, under one directory.
+    attempts, under one directory."""
 
-    Saving a checkpoint writes a file under a name no earlier checkpoint
-    of the trial used, then unlinks the older files: a rename to a fresh
-    name is cheaper than one over an existing file.  A kill between the
-    two steps leaves two files, and :meth:`load` takes the newer.
-    """
-
-    def checkpoint_path(self, index: int, events_handled: int) -> Path:
-        return self.root / f"trial-{index}.{events_handled}.ckpt.json"
-
-    def checkpoint_paths(self, index: int) -> list[Path]:
-        """The trial's checkpoint files on disk, newest (most handled
-        events) first."""
-        prefix, suffix = f"trial-{index}.", ".ckpt.json"
-        try:
-            names = os.listdir(self.root)
-        except (FileNotFoundError, NotADirectoryError):
-            return []
-        found = []
-        for name in names:
-            if name.startswith(prefix) and name.endswith(suffix):
-                events = name[len(prefix):-len(suffix)]
-                if events.isascii() and events.isdigit():
-                    found.append((int(events), name))
-        found.sort(reverse=True)
-        return [self.root / name for _, name in found]
+    def checkpoint_path(self, index: int) -> Path:
+        return self.root / f"trial-{index}.ckpt.json"
 
     def lineage_path(self, index: int) -> Path:
         return self.root / f"trial-{index}.lineage.json"
@@ -130,44 +104,30 @@ class CheckpointStore(VerifiedStore):
     # ------------------------------------------------------------------
 
     def save(self, index: int, checkpoint: KernelCheckpoint) -> None:
-        """Persist the trial's latest checkpoint under a fresh name by
-        atomic rename, without fsync, then unlink its older files: a
-        ``kill -9`` leaves the new checkpoint, the old one or both,
-        never a torn hybrid; a file an OS crash tears fails
-        :meth:`load`, which falls back to an older file or to zero."""
-        path = self.write(
-            self.checkpoint_path(index, checkpoint.events_handled),
-            checkpoint.to_json() + "\n", durable=False)
-        self._unlink(older for older in self.checkpoint_paths(index)
-                     if older != path)
+        """Persist the trial's latest checkpoint by atomic replace,
+        without fsync: a ``kill -9`` leaves either the previous
+        checkpoint or the complete new one, never a torn hybrid; a file
+        an OS crash tears fails :meth:`load` and the trial restarts."""
+        self.write(self.checkpoint_path(index), checkpoint.to_json() + "\n",
+                   durable=False)
 
     def load(self, index: int) -> KernelCheckpoint | None:
-        """The trial's newest *valid* checkpoint, or None.
+        """The trial's last *valid* checkpoint, or None.
 
         A checkpoint that fails decode or digest verification is moved
-        to ``quarantine/`` and the next older one is tried; with none
-        left the caller restarts from zero rather than resuming corrupt
-        state.  Files older than the one returned stay until the next
-        :meth:`save` or :meth:`clear`.
+        to ``quarantine/`` and reported as absent — the caller restarts
+        from zero rather than resuming corrupt state.
         """
-        for path in self.checkpoint_paths(index):
-            checkpoint = self.read(path, KernelCheckpoint.from_json)
-            if checkpoint is not None:
-                return checkpoint
-        return None
+        return self.read(self.checkpoint_path(index),
+                         KernelCheckpoint.from_json)
 
     def clear(self, index: int) -> None:
-        """Drop every checkpoint file of the trial (called on success; a
-        lineage sidecar is kept as the evidence trail of its resumes)."""
-        self._unlink(self.checkpoint_paths(index))
-
-    @staticmethod
-    def _unlink(paths) -> None:
-        for path in paths:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
+        """Drop the trial's checkpoint (called on success; a lineage
+        sidecar is kept as the evidence trail of its resumes)."""
+        try:
+            self.checkpoint_path(index).unlink(missing_ok=True)
+        except OSError:  # pragma: no cover - best-effort cleanup
+            pass
 
     # ------------------------------------------------------------------
     # Lineage

@@ -28,10 +28,9 @@ def _scenario() -> Scenario:
                     sync="lockfree", seed=7, horizon=15_000_000)
 
 
-def _old_checkpoint(scenario: Scenario,
-                    version: int) -> tuple[KernelCheckpoint, str]:
-    """A mid-run checkpoint, and its text with a digest that matches its
-    state but an envelope that says format ``version``."""
+def _old_checkpoint(scenario: Scenario, version: int) -> str:
+    """A mid-run checkpoint whose digest matches its state but whose
+    envelope says format ``version``."""
     sink: list[KernelCheckpoint] = []
     simulate(scenario, checkpoints=CheckpointPolicy(every_events=EVERY_EVENTS),
              checkpoint_sink=sink.append)
@@ -39,13 +38,13 @@ def _old_checkpoint(scenario: Scenario,
     checkpoint = sink[len(sink) // 2]
     doc = json.loads(checkpoint.to_json())
     doc["version"] = version
-    return checkpoint, json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("version", OLD_VERSIONS)
 def test_old_format_checkpoint_with_matching_digest_is_refused(version):
     assert CHECKPOINT_VERSION == 3
-    _, text = _old_checkpoint(_scenario(), version)
+    text = _old_checkpoint(_scenario(), version)
     doc = json.loads(text)
     assert doc["digest"] == KernelCheckpoint.wrap(doc["state"]).digest
     with pytest.raises(CheckpointError, match=f"v{version}"):
@@ -57,9 +56,9 @@ def test_old_format_file_in_the_store_is_quarantined_and_the_trial_restarts(
         tmp_path, version):
     scenario = _scenario()
     store = CheckpointStore(tmp_path)
-    checkpoint, text = _old_checkpoint(scenario, version)
-    store.checkpoint_path(0, checkpoint.events_handled).write_text(
-        text + "\n", encoding="utf-8")
+    text = _old_checkpoint(scenario, version)
+    # The name a v1 or v2 writer gave the trial's one checkpoint file.
+    store.checkpoint_path(0).write_text(text + "\n", encoding="utf-8")
     spec = TrialSpec(index=0, fn=simulate_scenario_trial,
                      args=(scenario.to_dict(),),
                      kwargs=(("every_events", EVERY_EVENTS),))
@@ -67,7 +66,7 @@ def test_old_format_file_in_the_store_is_quarantined_and_the_trial_restarts(
     with CampaignEngine(config, tag="t") as engine:
         outcome = engine.run([spec]).outcomes[0]
     assert len(store.quarantined()) == 1
-    assert store.checkpoint_paths(0) == []
+    assert not store.checkpoint_path(0).exists()
     # A clean attempt's lineage comes back beside its value.
     assert outcome.recovery["lineage"][0]["resumed"] is False
     assert outcome.recovery["lineage"][-1]["completed"] is True

@@ -88,10 +88,9 @@ def cache_subject(tmp_path, checkpoint):
 
 def checkpoint_subject(tmp_path, checkpoint):
     store = CheckpointStore(tmp_path / "checkpoints")
-    path = store.checkpoint_path(0, checkpoint.events_handled)
 
     def defects():
-        good = path.read_text()
+        good = store.checkpoint_path(0).read_text()
         envelope = json.loads(good)
         tampered = json.loads(good)
         tampered["state"]["clock"] += 1                  # bit-flip, stale digest
@@ -106,7 +105,7 @@ def checkpoint_subject(tmp_path, checkpoint):
             None,                                        # unreadable
         ]
 
-    return Subject(store, path,
+    return Subject(store, store.checkpoint_path(0),
                    put=lambda: store.save(0, checkpoint),
                    get=lambda: store.load(0), good=checkpoint,
                    corrupt=lambda: store.corrupt, defects=defects)
