@@ -3,8 +3,7 @@
 A :class:`KernelCheckpoint` is a *complete*, versioned, digest-stamped,
 JSON-serializable snapshot of a mid-run :class:`repro.sim.kernel.Kernel`:
 the event queue (raw heap order, so tie-breaking sequence numbers
-survive; events that can no longer act are kept as tombstones), every
-job's segment progress and synchronization state, the
+survive), every job's segment progress and synchronization state, the
 :class:`~repro.sim.locks.LockManager` and NBW
 :class:`~repro.sim.objects.LockFreeObjectTable` tables, the UAM
 admission-guard window counters, the fault injector's RNG stream and
@@ -40,8 +39,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.faults.report import InvariantViolation
 from repro.sim.engine import EventQueue
-from repro.sim.events import (CriticalTimeExpiry, JobArrival, Milestone,
-                               Tombstone)
+from repro.sim.events import CriticalTimeExpiry, JobArrival, Milestone
 from repro.sim.metrics import JobRecord, SimulationResult
 from repro.sim.objects import _ObjectState, _OpenAccess
 from repro.tasks.job import Job, JobState
@@ -64,10 +62,10 @@ __all__ = [
 #: incompatible change; restore refuses other generations outright
 #: (recomputing from zero is always safe, resuming across formats never
 #: is).  v2 stored jobs, queued events and result records as
-#: fixed-order rows instead of keyed objects; v3 also holds at most one
-#: pending trace arrival per task (the kernel queues releases lazily)
-#: and writes events that can no longer act as tombstones, so the jobs
-#: that only they named are left out.
+#: fixed-order rows instead of keyed objects; v3 holds at most one
+#: pending trace arrival per task (the kernel queues releases lazily),
+#: so v3 code restoring a v2 checkpoint would queue each task's next
+#: release twice.
 CHECKPOINT_VERSION = 3
 
 
@@ -225,14 +223,7 @@ def fingerprint_result(result: SimulationResult) -> str:
 # A job row follows ``Job``'s field order with the task replaced by its
 # index; a record row follows ``JobRecord``'s; an event row starts with
 # its kind: ``["arrival", task_index, jid, injected, deferrals]``,
-# ``["expiry", job]`` or ``["milestone", job, token]``.  A milestone
-# whose token is superseded, or the timer of a departed job, can never
-# act again (dispatch tokens only grow, departed jobs never return), so
-# it is written as a bare ``null`` tombstone: restore still pops and
-# counts it under its heap key, but it keeps no job alive.
-
-#: The one restored tombstone; it carries no state.
-_TOMBSTONE = Tombstone()
+# ``["expiry", job]`` or ``["milestone", job, token]``.
 
 
 def _sorted_objs(objs) -> list:
@@ -274,9 +265,19 @@ def _decode_job(row: list, tasks) -> Job:
                dispatch_token=dispatch_token)
 
 
-def _decode_event(row: list | None, jobs: list[Job]):
-    if row is None:
-        return _TOMBSTONE
+def _encode_event(payload, job_index) -> list:
+    kind = type(payload)
+    if kind is Milestone:
+        return ["milestone", job_index[id(payload.job)], payload.token]
+    if kind is JobArrival:
+        return ["arrival", payload.task_index, payload.jid,
+                payload.injected, payload.deferrals]
+    if kind is CriticalTimeExpiry:
+        return ["expiry", job_index[id(payload.job)]]
+    raise CheckpointError(f"unknown event payload {payload!r}")
+
+
+def _decode_event(row: list, jobs: list[Job]):
     kind = row[0]
     if kind == "milestone":
         _, job, token = row
@@ -299,9 +300,9 @@ def snapshot_kernel(kernel: "Kernel") -> KernelCheckpoint:
     """Capture the kernel's complete mid-run state.
 
     Jobs are indexed canonically: the live set in arrival order first,
-    then any other job a lock or lock-free table still names.  Every
-    other table refers to jobs by that index.  Queued events only name
-    live jobs: an event that can no longer act is a tombstone.
+    then any departed jobs still referenced from queued events (stale
+    abort timers, superseded milestones) in heap order.  Every other
+    table refers to jobs by that index.
     """
     jobs: list[Job] = list(kernel._live)
     job_index: dict[int, int] = {id(job): i for i, job in enumerate(jobs)}
@@ -311,27 +312,15 @@ def snapshot_kernel(kernel: "Kernel") -> KernelCheckpoint:
             job_index[id(job)] = len(jobs)
             jobs.append(job)
 
-    running = kernel._running
+    # Heap jobs are indexed in heap order, each before its event row is
+    # encoded, so one pass does both.
     heap = []
     for time, priority, sequence, payload in kernel._queue._heap:
         kind = type(payload)
-        if kind is JobArrival:
-            row = ["arrival", payload.task_index, payload.jid,
-                   payload.injected, payload.deferrals]
-        elif kind is Milestone:
-            job = payload.job
-            row = (["milestone", job_index[id(job)], payload.token]
-                   if job is running and payload.token == job.dispatch_token
-                   else None)
-        elif kind is CriticalTimeExpiry:
-            job = payload.job
-            row = (["expiry", job_index[id(job)]] if job.is_live
-                   else None)
-        elif kind is Tombstone:
-            row = None
-        else:
-            raise CheckpointError(f"unknown event payload {payload!r}")
-        heap.append([time, int(priority), sequence, row])
+        if kind is Milestone or kind is CriticalTimeExpiry:
+            _index_job(payload.job)
+        heap.append([time, int(priority), sequence,
+                     _encode_event(payload, job_index)])
     locks = kernel._locks
     for owner in locks._owner.values():
         _index_job(owner)

@@ -13,15 +13,9 @@ segment boundary — so the queued event kinds reduce to:
   carries a dispatch token so stale milestones from before a preemption
   are ignored).
 
-A restored kernel's queue may also hold a :class:`Tombstone` where the
-checkpoint wrote a milestone or timer that can no longer act as one
-(see :mod:`repro.sim.checkpoint`), and the kernel pops, counts and
-ignores it exactly as it would the stale event.
-
-The event records are plain slotted records: the kernel builds one per
-queued event (a milestone per dispatch), so they skip the frozen
-dataclass's ``object.__setattr__`` per field.  Nothing mutates a queued
-event.
+The three are plain slotted records: the kernel builds one per queued
+event (a milestone per dispatch), so they skip the frozen dataclass's
+``object.__setattr__`` per field.  Nothing mutates a queued event.
 """
 
 from __future__ import annotations
@@ -79,11 +73,3 @@ class Milestone:
 
     job: Job
     token: int
-
-
-@dataclass(slots=True, eq=False)
-class Tombstone:
-    """A queued event that can no longer act: a superseded milestone or
-    the timer of a departed job, as restored from a checkpoint.  It
-    keeps the stale event's heap key, so it is popped and counted at the
-    same point, but it names no job."""

@@ -55,7 +55,6 @@ from repro.sim.events import (
     EventPriority,
     JobArrival,
     Milestone,
-    Tombstone,
 )
 from repro.sim.locks import LockManager
 from repro.sim.metrics import SimulationResult, record_of
@@ -485,9 +484,6 @@ class Kernel:
         segment = job.task.segment_at[job.segment_index]
         self._finish[type(segment)](self, job, segment)
 
-    def _handle_tombstone(self, event: Tombstone) -> None:
-        """A stale event restored from a checkpoint: nothing to do."""
-
     #: Event type -> handler, as plain functions called with the kernel.
     #: Class-level on purpose: a per-instance table of bound methods
     #: would make every kernel part of a reference cycle, freed only by
@@ -496,7 +492,6 @@ class Kernel:
         JobArrival: _handle_arrival,
         CriticalTimeExpiry: _handle_expiry,
         Milestone: _handle_milestone,
-        Tombstone: _handle_tombstone,
     }
 
     # ------------------------------------------------------------------

@@ -3,8 +3,7 @@
 A small seeded serial batch is simulated under both syncs with a
 checkpoint every few dozen events, and every checkpoint's JSON text is
 hashed in order.  The paper-style runs are overloaded, so jobs abort and
-leave stale timers in the queue, which the checkpoint writes as
-tombstones; the hand-built runs end each job on a
+leave stale timers in the queue; the hand-built runs end each job on a
 shared-object access (under lock-based sharing the final unlock is a
 scheduling event, so the job is dispatched past its last segment) and
 carry a fault plan that exercises overruns, spurious retries, timer
@@ -14,8 +13,8 @@ The pinned digest is a recorded value, not a derived one: any change to
 the simulated state (a new field leaking into the encoding, a reordered
 event, a different segment index on a departed job) changes it, so a
 kernel change that claims byte-identical results must leave it alone.
-It was last re-pinned for checkpoint format v3 (one pending trace
-arrival per task, tombstones for events that can no longer act).
+It was last re-pinned for checkpoint format v3 (a new version number,
+and one pending trace arrival per task in the queue).
 """
 
 import hashlib
@@ -31,7 +30,7 @@ from repro.tuf import StepTUF
 
 SYNCS = ("lockfree", "lockbased")
 EVERY_EVENTS = 37
-PINNED = "2c027dd554a4caec9cb477d98a2b789f2010a3e45503b7cbc61836869d124725"
+PINNED = "c9951da037665629ea9705002b61ed0dff1911af35a8751c5d61c595e1fc3ebb"
 
 
 def _hand_built(sync: str) -> Scenario:
