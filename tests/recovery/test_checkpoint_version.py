@@ -58,7 +58,9 @@ def test_old_format_file_in_the_store_is_quarantined_and_the_trial_restarts(
     store = CheckpointStore(tmp_path)
     text = _old_checkpoint(scenario, version)
     # The name a v1 or v2 writer gave the trial's one checkpoint file.
-    store.checkpoint_path(0).write_text(text + "\n", encoding="utf-8")
+    legacy = tmp_path / "trial-0.ckpt.json"
+    assert store.checkpoint_path(0) == legacy
+    legacy.write_text(text + "\n", encoding="utf-8")
     spec = TrialSpec(index=0, fn=simulate_scenario_trial,
                      args=(scenario.to_dict(),),
                      kwargs=(("every_events", EVERY_EVENTS),))
