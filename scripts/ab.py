@@ -30,11 +30,13 @@ pairs the change won (ties count for neither side), and a verdict:
 * ``within bound`` — none of these.
 
 The report is printed and written to ``FILE`` (default
-``benchmarks/out/ab-<workload>-seed<S>-<PARENT>-<CHANGE>.txt``, named by
-the two directories).  An existing report is never overwritten, so
-every round stays on record.  The script changes nothing under either
-checkout's ``perfbench/`` or ``BENCHMARK.json``.  Exit code: 0, 1 when a
-run failed or read incorrect, 2 on bad arguments or an existing report.
+``benchmarks/trajectories/ab-<workload>-seed<S>-<PARENT>-<CHANGE>.txt``,
+named by the two directories).  An existing report is never
+overwritten, so every round stays on record, and the reports under
+``benchmarks/trajectories/`` are the repository's perf history.  The
+script changes nothing under either checkout's ``perfbench/`` or
+``BENCHMARK.json``.  Exit code: 0, 1 when a run failed or read
+incorrect, 2 on bad arguments or an existing report.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def main(argv=None) -> int:
     if args.workload not in {w["name"] for w in spec["workloads"]}:
         parser.error(f"unknown workload {args.workload!r}")
     seconds = float(spec["run_seconds"])
-    out = args.out or (ROOT / "benchmarks" / "out"
+    out = args.out or (ROOT / "benchmarks" / "trajectories"
                        / f"ab-{args.workload}-seed{args.seed}"
                          f"-{args.parent.name}-{args.change.name}.txt")
     if out.exists():

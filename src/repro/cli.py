@@ -14,10 +14,6 @@ Commands:
 * ``profile`` — one fully instrumented run (``repro.obs``): Chrome
   trace-event JSON for ``chrome://tracing``/Perfetto, JSONL event
   streams and a perf-summary table;
-* ``bench`` — the perf-regression loop over the committed
-  ``benchmarks/trajectories/`` store: ``record`` appends saved
-  ``perfbench/run.py`` results, ``check`` gates (exit 1 on a detected
-  regression), ``report`` prints the trajectories;
 * ``diff`` — trace-diff diagnosis: align two exported traces (JSONL or
   Chrome JSON), report the first divergent scheduling decision and the
   per-task deltas in retries, aborts, blocking time and utility;
@@ -288,27 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="also write the perf-summary table to a file")
     profile.add_argument("--json", default=None, metavar="PATH",
                          help="write a machine-readable summary")
-
-    bench = sub.add_parser(
-        "bench",
-        help="perf-regression loop over the committed perfbench results "
-             "in benchmarks/trajectories/ (record / check / report)")
-    bench.add_argument("action", choices=["record", "check", "report"])
-    bench.add_argument("runs", nargs="*", metavar="RUN",
-                       help="record: saved perfbench/run.py stdout of one "
-                            "--trace 0 run and, optionally, one --trace 1 "
-                            "run of the same workload and seed")
-    bench.add_argument("--dir", default=None, metavar="DIR",
-                       help="trajectory store (default "
-                            "benchmarks/trajectories)")
-    bench.add_argument("--spec", default=None, metavar="PATH",
-                       help="record: benchmark spec the metric "
-                            "directions and bounds are copied from "
-                            "(default BENCHMARK.json)")
-    bench.add_argument("--report", default=None, metavar="PATH",
-                       help="also write the ASCII gate report to a file")
-    bench.add_argument("--json", default=None, metavar="PATH",
-                       help="write a machine-readable summary")
 
     diff = sub.add_parser(
         "diff",
@@ -585,52 +560,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.obs.regress import (
-        DEFAULT_SPEC,
-        RecordError,
-        check_trajectories,
-        list_trajectories,
-        record_runs,
-        trajectory_dir,
-    )
-
-    directory = trajectory_dir(args.dir)
-    if args.action == "record":
-        try:
-            path, document = record_runs(
-                args.runs, args.spec or DEFAULT_SPEC, directory)
-        except RecordError as exc:
-            print(f"bench record refused: {exc}", file=sys.stderr)
-            return 2
-        entries = len(document["entries"])
-        seq = document["entries"][-1]["seq"]
-        print(f"trajectory entry seq {seq} appended to {path} "
-              f"({entries} entries)")
-        _write_json(args, {"command": "bench", "action": "record",
-                           "bench": path.stem, "path": str(path),
-                           "entries": entries, "seq": seq})
-        return 0
-    if args.runs or args.spec:
-        raise UsageError(f"bench {args.action} takes no RUN or --spec; "
-                         f"they are for 'record'")
-
-    report = check_trajectories(directory)
-    text = report.render()
-    print(text)
-    if args.report:
-        atomic_write(args.report, text + "\n")
-        print(f"gate report written to {args.report}")
-    gating = args.action == "check"
-    rc = 1 if (gating and report.regressed) else 0
-    if gating and not list_trajectories(directory):
-        print(f"no trajectories under {directory}; record some with "
-              f"`repro bench record`", file=sys.stderr)
-    _write_json(args, {"command": "bench", "action": args.action,
-                       "exit_code": rc, **report.to_dict()})
-    return rc
-
-
 def _cmd_diff(args) -> int:
     from repro.obs.diff import TraceFormatError, diff_trace_files
 
@@ -879,8 +808,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_faults(args)
         if args.command == "profile":
             return _cmd_profile(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "diff":
             return _cmd_diff(args)
         if args.command == "serve":

@@ -2,9 +2,9 @@
 
 Spans, counters and histograms threaded through the simulated kernel,
 the scheduler policies and the campaign engine; exporters for Chrome
-trace-event JSON, JSONL event streams and a compact perf summary; and
-the perf-regression gate over the committed perfbench trajectories
-(:mod:`repro.obs.regress`, the one bench store).
+trace-event JSON, JSONL event streams and a compact perf summary; the
+live metrics registry; and trace-diff diagnosis.  Perf claims are judged
+outside the package, by ``scripts/ab.py``'s paired runs (DESIGN.md §11).
 
 Every name resolves lazily on first attribute access
 (:mod:`repro._lazy`).  Instrumented modules deep in the import graph —
@@ -26,10 +26,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     # metrics registry & live /metrics endpoint
     "repro.obs.metrics": ("MetricsRegistry", "MetricsServer",
                           "snapshot_openmetrics", "fill_from_observer"),
-    # perf-regression gate over committed trajectories
-    "repro.obs.regress": ("append_trajectory", "load_trajectory",
-                          "check_trajectories", "judge_series",
-                          "RegressionReport"),
     # trace-diff diagnosis
     "repro.obs.diff": ("diff_trace_files", "diff_traces", "load_trace",
                        "TraceDiff"),

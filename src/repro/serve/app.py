@@ -348,6 +348,12 @@ class ServeApp:
             return 200, {"digest": digest, "cached": True,
                          "result": cached}, {}
 
+        # Nothing dispatches before start(): an admitted miss could only
+        # wait out its deadline.
+        if self._started_at is None:
+            return 503, {"error": "not_started", "reason": "not_started"}, \
+                retry_after
+
         # Fast-fail while the breaker is hard open: joining the queue
         # would only time the client out.  Half-open traffic still flows
         # (the dispatcher claims the probe slots).

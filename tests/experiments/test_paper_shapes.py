@@ -39,7 +39,7 @@ FIGURES = {
     "fig14": (figures.fig14, {"repeats": 3, "horizon": HORIZON}, 2),
     "thm2": (figures.thm2_validation,
              {"repeats": 4, "horizon": 300 * MS}, 2),
-    "thm3": (figures.thm3_sojourn, {"repeats": 3, "horizon": HORIZON}, 4),
+    "thm3": (figures.thm3_sojourn, {"repeats": 3, "horizon": HORIZON}, 3),
     "lemma45": (figures.lemma45_validation,
                 {"repeats": 4, "horizon": 200 * MS}, 4),
     "ablation": (figures.retry_policy_ablation,

@@ -95,10 +95,6 @@ COMMANDS = {
     "profile": lambda tmp: ["profile", "--tasks", "5", "--objects", "4",
                             "--horizon-ms", "10", "--seed", "0"],
     "sojourn": lambda tmp: ["sojourn", "--r", "10", "--s", "5"],
-    # The gate runs against the committed clean fixture (rc 0).
-    "bench": lambda tmp: ["bench", "check", "--dir",
-                          str(pathlib.Path(__file__).parent.parent
-                              / "fixtures" / "trajectories" / "clean")],
     "diff": _diff_argv,
     # Serve: start, idle 0.2s, drain — the config echo + stats schema.
     "serve": lambda tmp: ["serve", "--duration", "0.2",
