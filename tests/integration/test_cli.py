@@ -32,6 +32,15 @@ class TestQuick:
                      "--sync", "ideal"]) == 0
 
 
+class TestUnknownCommand:
+    def test_bench_is_not_a_command(self, capsys):
+        # Perf claims go through scripts/ab.py, not a CLI command.
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "check"])
+        assert info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 class TestFigure:
     def test_fig10_small(self, capsys):
         assert main(["figure", "fig10", "--repeats", "1",
