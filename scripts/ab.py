@@ -165,6 +165,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=pathlib.Path, default=None)
     args = parser.parse_args(argv)
     args.parent, args.change = args.parent.resolve(), args.change.resolve()
+    for tree in (args.parent, args.change):
+        if not (tree / "BENCHMARK.json").is_file():
+            parser.error(f"{tree} is not a checkout: no BENCHMARK.json")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")

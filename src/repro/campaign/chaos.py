@@ -15,8 +15,8 @@ wrapper*, before the real trial function runs:
 * ``transient`` — a :class:`~repro.campaign.spec.TransientTrialError`
   is raised.
 
-Faults fire only on ``on_attempt`` (default: the first attempt), so a
-retrying engine recovers and the campaign's *results* stay identical to
+Faults fire only on a trial's first attempt, so a retrying engine
+recovers and the campaign's *results* stay identical to
 a fault-free run — which is exactly the property the integration tests
 assert.
 """
@@ -40,7 +40,6 @@ class ChaosPlan:
     hang: tuple[int, ...] = ()
     transient: tuple[int, ...] = ()
     hang_seconds: float = 60.0
-    on_attempt: int = 0
 
     @property
     def empty(self) -> bool:
@@ -48,7 +47,7 @@ class ChaosPlan:
 
     def fire(self, index: int, attempt: int, *, in_worker: bool) -> None:
         """Inject the planned fault for ``(index, attempt)``, if any."""
-        if attempt != self.on_attempt:
+        if attempt != 0:
             return
         if index in self.kill9:
             if in_worker:

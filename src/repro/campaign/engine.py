@@ -51,6 +51,10 @@ from repro.campaign.spec import (
 )
 from repro.obs.observer import NULL_OBSERVER, NullObserver
 
+#: The campaign's retry backoff schedule (seconds): first delay and cap.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+
 
 class CampaignEngine:
     """Executes trials under one campaign policy; accumulates stats."""
@@ -246,9 +250,8 @@ class CampaignEngine:
         return WorkerPool(
             cfg.workers if cfg.workers > 1 else 0,
             trial_timeout=cfg.timeout, max_attempts=cfg.max_attempts,
-            retry_seed=cfg.retry_seed, backoff_base=cfg.backoff_base,
-            backoff_factor=cfg.backoff_factor, backoff_cap=cfg.backoff_cap,
-            backoff_jitter=cfg.backoff_jitter, chaos=cfg.chaos,
+            retry_seed=cfg.retry_seed, backoff_base=BACKOFF_BASE,
+            backoff_cap=BACKOFF_CAP, chaos=cfg.chaos,
             sleep=self._sleep, clock=self._clock)
 
     def _finish(self, gidx: int, spec: TrialSpec,

@@ -115,9 +115,7 @@ class WorkerPool:
                  max_attempts: int = 3,
                  retry_seed: int = 0,
                  backoff_base: float = 0.02,
-                 backoff_factor: float = 2.0,
                  backoff_cap: float = 0.5,
-                 backoff_jitter: float = 0.25,
                  chaos=None,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
@@ -126,9 +124,7 @@ class WorkerPool:
         self.max_attempts = max(1, max_attempts)
         self.retry_seed = retry_seed
         self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
         self.backoff_cap = backoff_cap
-        self.backoff_jitter = backoff_jitter
         self.chaos = chaos if chaos is not None and not chaos.empty else None
         self._sleep = sleep
         self._clock = clock
@@ -253,8 +249,7 @@ class WorkerPool:
             if not retry:
                 raise PoolFailure(kind, message, failures, backoffs)
             delay = backoff_delay(
-                attempt, base=self.backoff_base, factor=self.backoff_factor,
-                cap=self.backoff_cap, jitter=self.backoff_jitter,
+                attempt, base=self.backoff_base, cap=self.backoff_cap,
                 seed=derive_seed(self.retry_seed, index,
                                  f"backoff:{attempt}"))
             backoffs.append(delay)

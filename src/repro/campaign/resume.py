@@ -158,7 +158,6 @@ def _decode_lineage(text: str) -> list[dict[str, Any]]:
 def simulate_scenario_trial(scenario_dict: dict[str, Any],
                             every_events: int = 200,
                             crash_after_checkpoints: int | None = None,
-                            crash_on_attempt: int = 0,
                             _trial: TrialContext | None = None
                             ) -> dict[str, Any]:
     """Run one wire-format Scenario as a crash-recoverable trial.
@@ -170,8 +169,8 @@ def simulate_scenario_trial(scenario_dict: dict[str, Any],
     checkpoint and persists fresh checkpoints every ``every_events``
     kernel events.
 
-    ``crash_after_checkpoints`` (test/harness hook): on attempt
-    ``crash_on_attempt``, the process SIGKILLs itself after that many
+    ``crash_after_checkpoints`` (test/harness hook): on the first
+    attempt, the process SIGKILLs itself after that many
     checkpoints have been written — a real, unhandled worker death
     mid-trial.
     """
@@ -196,7 +195,7 @@ def simulate_scenario_trial(scenario_dict: dict[str, Any],
         store.save(_trial.index, checkpoint)
         written += 1
         if (crash_after_checkpoints is not None
-                and _trial.attempt == crash_on_attempt
+                and _trial.attempt == 0
                 and written >= crash_after_checkpoints):
             os.kill(os.getpid(), signal.SIGKILL)
 

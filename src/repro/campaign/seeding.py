@@ -22,6 +22,11 @@ import random
 
 _SEED_BYTES = 8
 
+#: Growth of the undithered backoff per attempt.
+BACKOFF_FACTOR = 2.0
+#: Half-width of the backoff's symmetric jitter, as a share of the delay.
+BACKOFF_JITTER = 0.25
+
 
 def derive_seed(base_seed: int, trial_index: int, stream: str = "") -> int:
     """A 64-bit seed that is a pure function of its arguments."""
@@ -35,25 +40,22 @@ def derive_seeds(base_seed: int, count: int, stream: str = "") -> list[int]:
     return [derive_seed(base_seed, index, stream) for index in range(count)]
 
 
-def backoff_delay(attempt: int, *, base: float, factor: float, cap: float,
-                  jitter: float, seed: int) -> float:
+def backoff_delay(attempt: int, *, base: float, cap: float,
+                  seed: int) -> float:
     """Exponential backoff with seeded, symmetric jitter (seconds).
 
     ``attempt`` is 0-based (the delay before retry ``attempt + 1``).  The
-    undithered delay is ``min(cap, base * factor**attempt)``; jitter
-    scales it by a factor drawn uniformly from ``[1 - jitter, 1 + jitter]``
-    using ``seed`` alone, so the schedule is reproducible.
+    undithered delay is ``min(cap, base * BACKOFF_FACTOR**attempt)``;
+    jitter scales it by a factor drawn uniformly from
+    ``[1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER]`` using ``seed`` alone, so
+    the schedule is reproducible.
     """
     if attempt < 0:
         raise ValueError("attempt must be non-negative")
     if base < 0 or cap < 0:
         raise ValueError("backoff base/cap must be non-negative")
-    if factor < 1.0:
-        raise ValueError("backoff factor must be at least 1")
-    if not 0.0 <= jitter <= 1.0:
-        raise ValueError("jitter must be within [0, 1]")
-    raw = min(cap, base * factor ** attempt)
-    if jitter == 0.0 or raw == 0.0:
+    raw = min(cap, base * BACKOFF_FACTOR ** attempt)
+    if raw == 0.0:
         return raw
     unit = random.Random(seed).random()          # deterministic in seed
-    return raw * (1.0 + jitter * (2.0 * unit - 1.0))
+    return raw * (1.0 + BACKOFF_JITTER * (2.0 * unit - 1.0))

@@ -131,14 +131,9 @@ class CampaignConfig:
     workers: int = 1
     timeout: float | None = None
     max_attempts: int = 3
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_cap: float = 2.0
-    backoff_jitter: float = 0.25
     retry_seed: int = 0
     journal: str | None = None
     resume: str | None = None
-    max_failures: int | None = None   # enforced by the CLI, recorded here
     chaos: "ChaosPlan | None" = None
     metrics_port: int | None = None   # live /metrics endpoint (0 = any)
     metrics_host: str = "127.0.0.1"

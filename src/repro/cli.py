@@ -168,7 +168,6 @@ def _campaign_from_args(args) -> CampaignConfig | None:
         max_attempts=max(1, args.trial_retries),
         journal=journal,
         resume=args.resume,
-        max_failures=args.max_failures,
         chaos=chaos,
         metrics_port=args.metrics_port,
     )

@@ -95,8 +95,8 @@ class AdmissionDecision:
 class AdmissionQueue:
     """Bounded, density-ordered queue between handlers and dispatchers."""
 
-    def __init__(self, capacity: int = 64, watermark: int | None = None,
-                 retry_after_s: float = 1.0) -> None:
+    def __init__(self, capacity: int = 64,
+                 watermark: int | None = None) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
@@ -104,7 +104,6 @@ class AdmissionQueue:
             else min(watermark, capacity)
         if self.watermark < 1:
             raise ValueError("watermark must be >= 1")
-        self.retry_after_s = retry_after_s
         self._items: list[ServeRequest] = []
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)

@@ -40,6 +40,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from repro.campaign.chaos import ChaosPlan
+from repro.obs.events import Histogram
 from repro.obs.metrics import (
     OPENMETRICS_CONTENT_TYPE,
     MetricsRegistry,
@@ -64,6 +65,8 @@ MAX_BODY_BYTES = 1 << 20
 #: Oversized bodies up to this size are read and dropped so the client
 #: gets its 413; a larger one just has its connection closed.
 MAX_DRAIN_BYTES = 16 * MAX_BODY_BYTES
+#: Retry-After hint (seconds) on a 429 or a non-breaker 503.
+RETRY_AFTER_S = "1"
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,6 @@ class ServeConfig:
     max_attempts: int = 3                # tries per trial (1 = no retry)
     retry_seed: int = 0                  # seeds the backoff schedule
     default_deadline_s: float = 60.0     # per-request deadline default
-    retry_after_s: float = 1.0           # Retry-After hint on 429/503
     breaker_threshold: int = 3           # consecutive failures to trip
     breaker_reset_s: float = 2.0         # open -> half-open timer
     cache_dir: str = ".repro-serve-cache"
@@ -95,6 +97,8 @@ class ServeConfig:
             raise ValueError("workers must be >= 1")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
+        if self.queue_watermark is not None and self.queue_watermark < 1:
+            raise ValueError("queue_watermark must be >= 1")
         if self.default_deadline_s <= 0:
             raise ValueError("default_deadline_s must be positive")
 
@@ -128,15 +132,15 @@ class ServeApp:
     :meth:`shutdown`.
     """
 
-    def __init__(self, config: ServeConfig | None = None, *,
-                 observer: Observer | None = None) -> None:
+    def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
         cfg = self.config
-        self.observer = observer if observer is not None else Observer()
+        #: Request telemetry; touched only under ``_lock`` (handler and
+        #: dispatcher threads share it, and the observer does not lock).
+        self.observer = Observer()
         self.cache = ResultCache(cfg.cache_dir)
         self.queue = AdmissionQueue(capacity=cfg.queue_capacity,
-                                    watermark=cfg.queue_watermark,
-                                    retry_after_s=cfg.retry_after_s)
+                                    watermark=cfg.queue_watermark)
         self.breaker = CircuitBreaker(threshold=cfg.breaker_threshold,
                                       reset_after=cfg.breaker_reset_s)
         self.pool = SimulationPool(workers=cfg.workers,
@@ -297,25 +301,28 @@ class ServeApp:
     # Request path (handler threads)
     # ------------------------------------------------------------------
 
-    def _count(self, status: int, reason: str = "") -> None:
-        key = f"{status}:{reason}" if reason else str(status)
-        with self._lock:
-            self._status_counts[key] = self._status_counts.get(key, 0) + 1
-
     def handle_simulate(self, body: bytes) -> tuple[int, dict[str, Any],
                                                     dict[str, str]]:
         """The full pipeline for one request; returns
         ``(status, body_dict, extra_headers)``."""
         started = self._clock()
         status, payload, headers = self._handle_simulate(body)
-        self._count(status, str(payload.get("reason", "")) or "")
-        self.observer.histogram("serve.request_s", self._clock() - started)
+        reason = str(payload.get("reason", ""))
+        key = f"{status}:{reason}" if reason else str(status)
+        elapsed = self._clock() - started
+        with self._lock:
+            self._status_counts[key] = self._status_counts.get(key, 0) + 1
+            self.observer.histogram("serve.request_s", elapsed)
         return status, payload, headers
+
+    def _note(self, counter: str) -> None:
+        with self._lock:
+            self.observer.counter(counter)
 
     def _handle_simulate(self, body: bytes) -> tuple[int, dict[str, Any],
                                                      dict[str, str]]:
         cfg = self.config
-        retry_after = {"Retry-After": f"{cfg.retry_after_s:.3g}"}
+        retry_after = {"Retry-After": RETRY_AFTER_S}
         if self.drain.draining:
             return 503, {"error": "draining", "reason": "draining"}, \
                 retry_after
@@ -434,13 +441,12 @@ class ServeApp:
                     self._active_dispatch -= 1
 
     def _dispatch_one(self, request: ServeRequest) -> None:
-        cfg = self.config
         if request.cancelled:
-            self.observer.counter("serve.abandoned_in_queue")
+            self._note("serve.abandoned_in_queue")
             return
         if request.deadline is not None and \
                 self._clock() >= request.deadline:
-            self.observer.counter("serve.abandoned_in_queue")
+            self._note("serve.abandoned_in_queue")
             self._answer(request, 504, {"error": "deadline_exceeded",
                                         "reason": "deadline",
                                         "digest": request.digest})
@@ -461,7 +467,7 @@ class ServeApp:
                 # The pool is not to blame for a client deadline; free
                 # the probe slot without judging the pool's health.
                 self.breaker.record_neutral()
-                self.observer.counter("serve.deadline_cancelled")
+                self._note("serve.deadline_cancelled")
                 self._answer(request, 504,
                              {"error": "deadline_exceeded",
                               "reason": "deadline",
@@ -604,8 +610,15 @@ class ServeApp:
             responses.inc(count, code=code)
 
     def render_metrics(self) -> str:
-        return snapshot_openmetrics(observer=self.observer,
-                                    extra=self._fill_metrics)
+        # Render from a copy: handler and dispatcher threads keep
+        # recording into the live observer while the scrape runs.
+        copy = Observer()
+        with self._lock:
+            copy.counters = dict(self.observer.counters)
+            copy.histograms = {name: Histogram(list(hist.values))
+                               for name, hist
+                               in self.observer.histograms.items()}
+        return snapshot_openmetrics(observer=copy, extra=self._fill_metrics)
 
 
 # ----------------------------------------------------------------------

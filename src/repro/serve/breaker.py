@@ -10,8 +10,8 @@ that state into fast, honest 503s:
 * **open** — tripped after ``threshold`` consecutive failures; all work
   is refused immediately (with a ``Retry-After`` of the time left until
   the next probe);
-* **half-open** — after ``reset_after`` seconds the breaker admits a
-  limited number of probe requests; one success re-closes it, one
+* **half-open** — after ``reset_after`` seconds the breaker admits one
+  probe request at a time; its success re-closes the breaker, its
   failure re-opens it (with a fresh timer).
 
 Deterministic and testable: time is an injectable monotonic clock, and
@@ -38,7 +38,6 @@ class CircuitBreaker:
     """Thread-safe three-state breaker with a monotonic-clock timer."""
 
     def __init__(self, threshold: int = 3, reset_after: float = 2.0,
-                 half_open_probes: int = 1,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
@@ -46,13 +45,12 @@ class CircuitBreaker:
             raise ValueError("reset_after must be >= 0")
         self.threshold = threshold
         self.reset_after = reset_after
-        self.half_open_probes = max(1, half_open_probes)
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._probes_in_flight = 0
+        self._probing = False
         self.transitions = 0
         self.rejected_total = 0
 
@@ -78,13 +76,13 @@ class CircuitBreaker:
             if self._state == OPEN:
                 if self._clock() - self._opened_at >= self.reset_after:
                     self._set_state(HALF_OPEN)
-                    self._probes_in_flight = 0
+                    self._probing = False
                 else:
                     self.rejected_total += 1
                     return False
-            # Half-open: admit up to half_open_probes concurrent probes.
-            if self._probes_in_flight < self.half_open_probes:
-                self._probes_in_flight += 1
+            # Half-open: admit one probe at a time.
+            if not self._probing:
+                self._probing = True
                 return True
             self.rejected_total += 1
             return False
@@ -93,7 +91,7 @@ class CircuitBreaker:
         with self._lock:
             self._consecutive_failures = 0
             if self._state == HALF_OPEN:
-                self._probes_in_flight = max(0, self._probes_in_flight - 1)
+                self._probing = False
                 self._set_state(CLOSED)
 
     def record_neutral(self) -> None:
@@ -101,12 +99,12 @@ class CircuitBreaker:
         (e.g. the trial was cancelled by a client deadline)."""
         with self._lock:
             if self._state == HALF_OPEN:
-                self._probes_in_flight = max(0, self._probes_in_flight - 1)
+                self._probing = False
 
     def record_failure(self) -> None:
         with self._lock:
             if self._state == HALF_OPEN:
-                self._probes_in_flight = max(0, self._probes_in_flight - 1)
+                self._probing = False
                 self._opened_at = self._clock()
                 self._set_state(OPEN)
                 self._consecutive_failures = self.threshold

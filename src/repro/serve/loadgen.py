@@ -41,6 +41,9 @@ __all__ = ["LoadConfig", "run_load", "percentile"]
 OUTCOMES = ("ok", "shed", "unavailable", "failed", "deadline",
             "rejected", "transport_error", "other")
 
+#: Socket timeout per request (seconds).
+_TIMEOUT_S = 60.0
+
 _STATUS_OUTCOME = {200: "ok", 429: "shed", 503: "unavailable",
                    500: "failed", 504: "deadline", 400: "rejected",
                    413: "rejected"}
@@ -62,7 +65,6 @@ class LoadConfig:
     sync: str = "lockfree"
     deadline_s: float = 30.0     # per-request deadline sent to the server
     priority_levels: int = 3     # priorities drawn from 1..levels
-    timeout_s: float = 60.0      # socket timeout per request
     verify: bool = False         # byte-compare 200s against local runs
 
     def __post_init__(self) -> None:
@@ -161,7 +163,7 @@ def _consume(plan: list[dict], config: LoadConfig, start: float,
              host: str, port: int, base_path: str,
              collector: _Collector) -> None:
     connection = http.client.HTTPConnection(host, port,
-                                            timeout=config.timeout_s)
+                                            timeout=_TIMEOUT_S)
     try:
         for entry in plan:
             scheduled = start + entry["at"]
@@ -186,7 +188,7 @@ def _consume(plan: list[dict], config: LoadConfig, start: float,
                                  time.monotonic() - scheduled, lag, None)
                 connection.close()
                 connection = http.client.HTTPConnection(
-                    host, port, timeout=config.timeout_s)
+                    host, port, timeout=_TIMEOUT_S)
                 continue
             latency = time.monotonic() - scheduled
             try:

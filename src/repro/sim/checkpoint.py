@@ -65,8 +65,9 @@ __all__ = [
 #: fixed-order rows instead of keyed objects; v3 holds at most one
 #: pending trace arrival per task (the kernel queues releases lazily),
 #: so v3 code restoring a v2 checkpoint would queue each task's next
-#: release twice.
-CHECKPOINT_VERSION = 3
+#: release twice; v4 drops the ``last_ckpt_clock`` meter (checkpoints
+#: are due by handled-event count only).
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(ValueError):
@@ -78,25 +79,16 @@ class CheckpointError(ValueError):
 class CheckpointPolicy:
     """When the kernel emits checkpoints during :meth:`Kernel.run`.
 
-    ``every_events`` snapshots after every K handled events;
-    ``every_ns`` snapshots when at least T simulated nanoseconds have
-    elapsed since the previous snapshot.  Either may be used alone or
-    both together (a snapshot is due when *either* trigger fires; firing
-    resets both meters, so the cadence is identical before and after a
-    restore).
+    ``every_events`` snapshots after every K handled events.  The meter
+    is part of the checkpoint, so the cadence is identical before and
+    after a restore.
     """
 
-    every_events: int | None = None
-    every_ns: int | None = None
+    every_events: int
 
     def __post_init__(self) -> None:
-        if self.every_events is None and self.every_ns is None:
-            raise ValueError(
-                "CheckpointPolicy needs every_events and/or every_ns")
-        if self.every_events is not None and self.every_events < 1:
+        if self.every_events < 1:
             raise ValueError("every_events must be >= 1")
-        if self.every_ns is not None and self.every_ns < 1:
-            raise ValueError("every_ns must be >= 1")
 
 
 def _canonical(state: dict[str, Any]) -> str:
@@ -336,7 +328,6 @@ def snapshot_kernel(kernel: "Kernel") -> KernelCheckpoint:
         "clock": kernel._clock,
         "events_handled": kernel._events_handled,
         "last_ckpt_event": kernel._last_ckpt_event,
-        "last_ckpt_clock": kernel._last_ckpt_clock,
         "next_jid": list(kernel._next_jid),
         "jobs": [
             _encode_job(job, kernel._task_index[id(job.task)])
@@ -459,7 +450,6 @@ def restore_kernel(config: "SimulationConfig",
     kernel._clock = state["clock"]
     kernel._events_handled = state["events_handled"]
     kernel._last_ckpt_event = state["last_ckpt_event"]
-    kernel._last_ckpt_clock = state["last_ckpt_clock"]
     kernel._next_jid = list(state["next_jid"])
     kernel._live = [jobs[i] for i in state["live"]]
     kernel._running = (None if state["running"] is None

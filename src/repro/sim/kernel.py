@@ -155,7 +155,7 @@ class SimulationConfig:
                 )
 
 
-#: A checkpoint mark no event count or clock reaches.
+#: A checkpoint mark no event count reaches.
 _NEVER = float("inf")
 
 #: Queue priorities of an arrival and a milestone, as the plain ints the
@@ -256,7 +256,6 @@ class Kernel:
         self.checkpoints: list[KernelCheckpoint] = []
         self._events_handled = 0
         self._last_ckpt_event = 0
-        self._last_ckpt_clock = 0
         #: True on a kernel rebuilt by :meth:`restore`: ``run`` must not
         #: re-prime arrivals (the queue already holds each task's next
         #: release).
@@ -287,12 +286,11 @@ class Kernel:
         heap = self._queue._heap
         obs = self.obs
         obs_enabled = obs.enabled
-        # A checkpoint is due once either meter reaches its mark (no
-        # call per event while an armed policy stays idle).
+        # A checkpoint is due once the handled-event count reaches its
+        # mark (no call per event while an armed policy stays idle).
         ckpt_policy = self.config.checkpoints
-        due_events = due_clock = _NEVER
-        if ckpt_policy is not None:
-            due_events, due_clock = self._checkpoint_marks(ckpt_policy)
+        due_events = (_NEVER if ckpt_policy is None
+                      else self._last_ckpt_event + ckpt_policy.every_events)
         while heap and heap[0][0] <= horizon:
             time, event = pop()
             if monitors is not None:
@@ -322,9 +320,9 @@ class Kernel:
             self._clock = time
             handlers[type(event)](self, event)
             self._events_handled += 1
-            if self._events_handled >= due_events or time >= due_clock:
+            if self._events_handled >= due_events:
                 self._emit_checkpoint()
-                due_events, due_clock = self._checkpoint_marks(ckpt_policy)
+                due_events = self._events_handled + ckpt_policy.every_events
         # The live set contains exactly the unfinished jobs — completed
         # and aborted jobs are removed at their transition (previously
         # this re-scanned a stale list that could still carry departed
@@ -361,23 +359,10 @@ class Kernel:
         the uninterrupted run."""
         return restore_kernel(config, checkpoint)
 
-    def _checkpoint_marks(self, policy: CheckpointPolicy
-                          ) -> tuple[int | float, int | float]:
-        """The handled-event count and the clock at which the next
-        checkpoint is due, counted from the last one (``_NEVER`` for a
-        meter the policy does not use)."""
-        return (
-            _NEVER if policy.every_events is None
-            else self._last_ckpt_event + policy.every_events,
-            _NEVER if policy.every_ns is None
-            else self._last_ckpt_clock + policy.every_ns,
-        )
-
     def _emit_checkpoint(self) -> None:
-        # Markers move *before* snapshotting so they are captured inside
+        # The marker moves *before* snapshotting so it is captured inside
         # the checkpoint: a restored run keeps the original cadence.
         self._last_ckpt_event = self._events_handled
-        self._last_ckpt_clock = self._clock
         checkpoint = self.snapshot()
         sink = self.config.checkpoint_sink
         if sink is None:

@@ -14,6 +14,7 @@ from repro.campaign import (
     TransientTrialError,
     as_engine,
 )
+from repro.campaign.engine import BACKOFF_BASE, BACKOFF_CAP
 from repro.campaign.seeding import backoff_delay, derive_seed
 from repro.campaign.spec import TrialSpec
 
@@ -106,9 +107,7 @@ class TestRetrySemantics:
         engine, sleeps = _engine(cfg)
         engine.map(trial_always_transient, [()])
         expected = [
-            backoff_delay(attempt,
-                          base=cfg.backoff_base, factor=cfg.backoff_factor,
-                          cap=cfg.backoff_cap, jitter=cfg.backoff_jitter,
+            backoff_delay(attempt, base=BACKOFF_BASE, cap=BACKOFF_CAP,
                           seed=derive_seed(99, 0, f"backoff:{attempt}"))
             for attempt in range(2)      # no sleep after the final attempt
         ]

@@ -54,16 +54,16 @@ class TestParallelParity:
     def test_hung_trial_times_out_and_recovers(self):
         engine = CampaignEngine(CampaignConfig(
             workers=2, timeout=0.75,
-            chaos=ChaosPlan(hang=(0,), hang_seconds=30.0),
-            backoff_base=0.01, backoff_cap=0.05))
+            chaos=ChaosPlan(hang=(0,), hang_seconds=30.0)),
+            sleep=lambda _s: None)
         result = engine.map(trial_square, ARGS)
         assert result.values == _serial_values()
         assert dict(engine.stats().attempt_failures).get("timeout", 0) >= 1
 
     def test_transient_failure_in_worker_is_retried(self, tmp_path):
         marker = str(tmp_path / "flaky.marker")
-        engine = CampaignEngine(CampaignConfig(
-            workers=2, backoff_base=0.01, backoff_cap=0.05))
+        engine = CampaignEngine(CampaignConfig(workers=2),
+                                sleep=lambda _s: None)
         result = engine.map(trial_marker_flaky, [(marker, "payload")])
         assert result.values == ["payload"]
         outcome = result.outcomes[0]

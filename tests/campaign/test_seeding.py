@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.campaign.seeding import backoff_delay, derive_seed, derive_seeds
+from repro.campaign.seeding import (
+    BACKOFF_JITTER,
+    backoff_delay,
+    derive_seed,
+    derive_seeds,
+)
 
 
 class TestDeriveSeed:
@@ -33,39 +38,32 @@ class TestDeriveSeed:
 
 
 class TestBackoffDelay:
-    def test_exponential_growth_without_jitter(self):
-        delays = [backoff_delay(a, base=0.1, factor=2.0, cap=100.0,
-                                jitter=0.0, seed=0) for a in range(4)]
-        assert delays == [0.1, 0.2, 0.4, 0.8]
+    def test_exponential_growth(self):
+        # One seed draws one jitter factor, so the doubling shows exactly.
+        delays = [backoff_delay(a, base=0.1, cap=100.0, seed=0)
+                  for a in range(4)]
+        assert delays == pytest.approx([delays[0] * 2 ** a
+                                        for a in range(4)])
 
     def test_cap_applies(self):
-        assert backoff_delay(10, base=0.1, factor=2.0, cap=1.5,
-                             jitter=0.0, seed=0) == 1.5
+        capped = backoff_delay(10, base=0.1, cap=1.5, seed=0)
+        assert capped == backoff_delay(20, base=0.1, cap=1.5, seed=0)
+        assert 1.5 * (1 - BACKOFF_JITTER) <= capped \
+            <= 1.5 * (1 + BACKOFF_JITTER)
 
     def test_jitter_stays_within_band_and_is_seeded(self):
-        raw = 0.4  # base * factor**2
+        raw = 0.4  # base * 2**2
         for seed in range(20):
-            delay = backoff_delay(2, base=0.1, factor=2.0, cap=100.0,
-                                  jitter=0.25, seed=seed)
+            delay = backoff_delay(2, base=0.1, cap=100.0, seed=seed)
             assert raw * 0.75 <= delay <= raw * 1.25
-            again = backoff_delay(2, base=0.1, factor=2.0, cap=100.0,
-                                  jitter=0.25, seed=seed)
+            again = backoff_delay(2, base=0.1, cap=100.0, seed=seed)
             assert delay == again
 
     def test_zero_base_is_zero_delay(self):
-        assert backoff_delay(3, base=0.0, factor=2.0, cap=1.0,
-                             jitter=0.5, seed=9) == 0.0
+        assert backoff_delay(3, base=0.0, cap=1.0, seed=9) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            backoff_delay(-1, base=0.1, factor=2.0, cap=1.0,
-                          jitter=0.0, seed=0)
+            backoff_delay(-1, base=0.1, cap=1.0, seed=0)
         with pytest.raises(ValueError):
-            backoff_delay(0, base=-0.1, factor=2.0, cap=1.0,
-                          jitter=0.0, seed=0)
-        with pytest.raises(ValueError):
-            backoff_delay(0, base=0.1, factor=0.5, cap=1.0,
-                          jitter=0.0, seed=0)
-        with pytest.raises(ValueError):
-            backoff_delay(0, base=0.1, factor=2.0, cap=1.0,
-                          jitter=1.5, seed=0)
+            backoff_delay(0, base=-0.1, cap=1.0, seed=0)

@@ -139,6 +139,16 @@ class TestFaults:
         assert "levels must be >= 0" in err
 
 
+class TestServe:
+    @pytest.mark.parametrize("flag", [
+        ["--queue-capacity", "0"], ["--watermark", "0"], ["--watermark=-3"],
+    ], ids=["capacity-0", "watermark-0", "watermark-negative"])
+    def test_bad_queue_bound_is_a_usage_error(self, capsys, tmp_path, flag):
+        assert main(["serve", "--cache-dir", str(tmp_path / "cache"),
+                     "--duration", "0.5", *flag]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+
 class TestSojourn:
     def test_lockfree_wins_with_small_s(self, capsys):
         assert main(["sojourn", "--r", "30", "--s", "2"]) == 0

@@ -38,8 +38,7 @@ class TestSerialEngineObs:
         _FLAKY_CALLS["n"] = 0
         obs = Observer()
         engine = CampaignEngine(
-            CampaignConfig(max_attempts=3, backoff_base=0.0,
-                           backoff_cap=0.0),
+            CampaignConfig(max_attempts=3),
             observer=obs, sleep=lambda s: None)
         result = engine.map(_flaky_once, [(7,)])
         assert result.ok

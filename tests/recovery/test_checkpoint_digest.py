@@ -13,8 +13,8 @@ The pinned digest is a recorded value, not a derived one: any change to
 the simulated state (a new field leaking into the encoding, a reordered
 event, a different segment index on a departed job) changes it, so a
 kernel change that claims byte-identical results must leave it alone.
-It was last re-pinned for checkpoint format v3 (a new version number,
-and one pending trace arrival per task in the queue).
+It was last re-pinned for checkpoint format v4 (a new version number,
+and no ``last_ckpt_clock`` key in the state).
 """
 
 import hashlib
@@ -30,7 +30,7 @@ from repro.tuf import StepTUF
 
 SYNCS = ("lockfree", "lockbased")
 EVERY_EVENTS = 37
-PINNED = "c9951da037665629ea9705002b61ed0dff1911af35a8751c5d61c595e1fc3ebb"
+PINNED = "4e0ce816ec082a9af52474d91b9671a36d43ec23e0c58e5268b6cfa6c864528c"
 
 
 def _hand_built(sync: str) -> Scenario:

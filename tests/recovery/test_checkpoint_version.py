@@ -2,7 +2,7 @@
 
 Resuming across formats is never safe, so a checkpoint whose digest
 matches but whose ``version`` is not :data:`CHECKPOINT_VERSION` raises
-:class:`CheckpointError`, and a v1 or v2 file left in a campaign's
+:class:`CheckpointError`, and a v1, v2 or v3 file left in a campaign's
 :class:`CheckpointStore` is quarantined: the trial restarts from zero
 and returns the payload a clean run returns.
 """
@@ -20,7 +20,7 @@ from repro.sim.checkpoint import (CHECKPOINT_VERSION, CheckpointError,
                                   CheckpointPolicy, KernelCheckpoint)
 
 EVERY_EVENTS = 50
-OLD_VERSIONS = (1, 2)
+OLD_VERSIONS = (1, 2, 3)
 
 
 def _scenario() -> Scenario:
@@ -43,7 +43,7 @@ def _old_checkpoint(scenario: Scenario, version: int) -> str:
 
 @pytest.mark.parametrize("version", OLD_VERSIONS)
 def test_old_format_checkpoint_with_matching_digest_is_refused(version):
-    assert CHECKPOINT_VERSION == 3
+    assert CHECKPOINT_VERSION == 4
     text = _old_checkpoint(_scenario(), version)
     doc = json.loads(text)
     assert doc["digest"] == KernelCheckpoint.wrap(doc["state"]).digest
@@ -57,7 +57,7 @@ def test_old_format_file_in_the_store_is_quarantined_and_the_trial_restarts(
     scenario = _scenario()
     store = CheckpointStore(tmp_path)
     text = _old_checkpoint(scenario, version)
-    # The name a v1 or v2 writer gave the trial's one checkpoint file.
+    # The name a v1, v2 or v3 writer gave the trial's one checkpoint file.
     legacy = tmp_path / "trial-0.ckpt.json"
     assert store.checkpoint_path(0) == legacy
     legacy.write_text(text + "\n", encoding="utf-8")

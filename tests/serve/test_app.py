@@ -3,6 +3,7 @@
 import http.client
 import json
 import re
+import sys
 import threading
 import time
 
@@ -11,6 +12,7 @@ import pytest
 from repro.api import quick_scenario
 from repro.campaign.chaos import ChaosPlan
 from repro.serve import RequestLog, ServeApp, ServeConfig
+from repro.serve.admission import ServeRequest
 from repro.serve.breaker import CLOSED, OPEN
 
 
@@ -100,7 +102,7 @@ class TestSimulatePipeline:
             scenario_body(seed=2, deadline_s=5.0))
         assert status == 429
         assert payload["reason"] == "queue_full"
-        assert "Retry-After" in headers
+        assert headers["Retry-After"] == "1"
         first.join(timeout=5.0)
         status_first, _, _ = results[0]
         assert status_first == 504              # nobody served it
@@ -212,6 +214,145 @@ class TestMetrics:
         assert 'repro_serve_pool_failures_total{kind="crash"} 1' in lines
         assert re.findall(r"^repro_serve_(?:responses|pool_failures)_"
                           r"(?!total\{).*$", text, re.M) == []
+
+    def test_concurrent_counts_lose_no_increment(self, app_factory):
+        """Dispatcher threads share the app's observer: with a thread
+        switch forced every microsecond, every bump still lands."""
+        app = app_factory(start=False)
+        threads, per_thread = 4, 5_000
+        batches = []
+        for _ in range(threads):
+            batch = [ServeRequest({}, "d") for _ in range(per_thread)]
+            for request in batch:
+                request.cancel()
+            batches.append(batch)
+        barrier = threading.Barrier(threads)
+
+        def dispatch(batch):
+            barrier.wait(timeout=10.0)
+            for request in batch:
+                app._dispatch_one(request)
+
+        workers = [threading.Thread(target=dispatch, args=(batch,))
+                   for batch in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert app.observer.counters["serve.abandoned_in_queue"] == \
+            threads * per_thread
+
+    def test_serve_surface_is_pinned(self, app_factory, tmp_path):
+        """The /metrics families and the /stats counts after a crash, a
+        success, a hit, an unparseable body and a second success."""
+        app = app_factory(max_attempts=1, chaos=ChaosPlan(crash=(0,)),
+                          request_log=str(tmp_path / "requests.jsonl"))
+        bodies = [scenario_body(seed=20, deadline_s=20.0),
+                  scenario_body(seed=21, deadline_s=20.0),
+                  scenario_body(seed=21, deadline_s=20.0),
+                  b"{not json",
+                  scenario_body(seed=22, deadline_s=20.0)]
+        assert [app.handle_simulate(body)[0] for body in bodies] == \
+            [500, 200, 200, 400, 200]
+        deadline = time.monotonic() + 5.0
+        while (app.stats()["pool"]["active_dispatch"]
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+
+        families: dict[str, list] = {}
+        for line in app.render_metrics().splitlines():
+            if line.startswith("# TYPE "):
+                name, kind = line[len("# TYPE "):].split(" ")
+                family = families[name] = [kind, None, set()]
+            elif line.startswith("# HELP "):
+                name, help_text = line[len("# HELP "):].split(" ", 1)
+                families[name][1] = help_text
+            elif line and not line.startswith("#"):
+                family[2].update(re.findall(r'(\w+)="', line))
+        assert {name: (kind, help_text, tuple(sorted(labels)))
+                for name, (kind, help_text, labels)
+                in families.items()} == {
+            "repro_campaign_retries": (
+                "counter", "Trial attempts re-queued after a retryable "
+                "failure", ()),
+            "repro_campaign_trials": (
+                "counter", "Trials reaching a terminal outcome", ()),
+            "repro_campaign_trials_failed": (
+                "counter", "Trials that failed terminally", ()),
+            "repro_campaign_trials_ok": (
+                "counter", "Trials that completed successfully", ()),
+            "repro_invariant_violations_detected": (
+                "counter", "Total runtime invariant violations across "
+                "monitors", ()),
+            "repro_serve_breaker_rejections": (
+                "counter", "Requests rejected by the open breaker", ()),
+            "repro_serve_breaker_state": (
+                "gauge", "Circuit breaker state (0=closed 1=half-open "
+                "2=open)", ()),
+            "repro_serve_breaker_transitions": (
+                "counter", "Circuit breaker state transitions", ()),
+            "repro_serve_cache_hit_rate": (
+                "gauge", "Result-cache hit rate since start", ()),
+            "repro_serve_cache_lookups": (
+                "counter", "Result-cache lookups by outcome",
+                ("outcome",)),
+            "repro_serve_pool_failures": (
+                "counter", "Trial attempt failures by kind", ("kind",)),
+            "repro_serve_pool_rebuilds": (
+                "counter", "Worker-pool kill-and-rebuild events", ()),
+            "repro_serve_queue_depth": (
+                "gauge", "Admission queue depth", ()),
+            "repro_serve_recovered_requests": (
+                "counter", "Requests replayed from the write-ahead log on "
+                "warm restart", ()),
+            "repro_serve_recovery_pending": (
+                "gauge", "Replayed requests whose results are not yet "
+                "cached", ()),
+            "repro_serve_request_s": (
+                "summary", "Observer histogram 'serve.request_s'",
+                ("quantile",)),
+            "repro_serve_responses": (
+                "counter", "HTTP responses by status", ("code",)),
+            "repro_serve_shed": (
+                "counter", "Requests shed by admission control",
+                ("reason",)),
+            "repro_serve_trial_retries": (
+                "counter", "Trials re-run after a retryable failure", ()),
+            "repro_serve_wal_appends": (
+                "counter", "Requests journaled to the write-ahead log", ()),
+            "repro_serve_worker_saturation": (
+                "gauge", "Per-worker-slot busy flag (1 = executing a "
+                "trial)", ("worker",)),
+            "repro_serve_workers": (
+                "gauge", "Configured simulation worker processes", ()),
+            "repro_serve_workers_busy": (
+                "gauge", "Simulation workers currently executing a trial",
+                ()),
+        }
+
+        stats = app.stats()
+        assert stats.pop("uptime_s") >= 0
+        assert stats == {
+            "draining": False,
+            "responses": {"200": 3, "400": 1, "500:crash": 1},
+            "cache": {"corrupt": 0, "hit_rate": 0.25, "hits": 1,
+                      "misses": 3, "writes": 2},
+            "queue": {"depth": 0, "capacity": 64, "watermark": 64,
+                      "admitted": 3, "shed": 0, "evicted": 0},
+            "breaker": {"state": "closed", "transitions": 0,
+                        "rejected": 0},
+            "pool": {"workers": 1, "busy": 0, "active_dispatch": 0,
+                     "executions": 2, "retries": 0, "rebuilds": 1,
+                     "failure_kinds": {"crash": 1}},
+            "recovery": {"enabled": True, "recovered": 0, "pending": 0,
+                         "complete": True},
+        }
 
 
 class TestDrain:

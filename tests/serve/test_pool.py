@@ -213,8 +213,9 @@ class TestCollateral:
         releaser = threading.Thread(target=release, daemon=True)
         releaser.start()
         with CampaignEngine(CampaignConfig(
-                workers=2, timeout=1.0, backoff_base=0.01,
-                chaos=ChaosPlan(hang=(0,), hang_seconds=30.0))) as engine:
+                workers=2, timeout=1.0,
+                chaos=ChaosPlan(hang=(0,), hang_seconds=30.0)),
+                sleep=lambda _s: None) as engine:
             # Trial 1 holds the second worker for SPACING, then B starts.
             result = engine.map(released_trial,
                                 [(scenario_dict(1),),

@@ -326,14 +326,19 @@ def test_a_refusal_names_the_tree_the_exit_code_and_the_output(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--workload", "sim-long", "--pairs", 0],
-    ["--workload", "no-such-workload"],
-], ids=["no-pairs", "unknown-workload"])
+    ["PARENT", "CHANGE", "--workload", "sim-long", "--pairs", 0],
+    ["PARENT", "CHANGE", "--workload", "no-such-workload"],
+    ["MISSING", "CHANGE", "--workload", "sim-long"],
+    ["PARENT", "NOT_A_CHECKOUT", "--workload", "sim-long"],
+], ids=["no-pairs", "unknown-workload", "missing-parent",
+        "change-without-benchmark"])
 def test_bad_arguments_give_exit_2_before_any_run(tmp_path, argv):
-    parent, change = stub_tree(tmp_path, "parent"), stub_tree(tmp_path,
-                                                              "change")
-    assert main_exit(parent, change, *argv,
-                     "--out", tmp_path / "round.txt") == 2
+    trees = {"PARENT": stub_tree(tmp_path, "parent"),
+             "CHANGE": stub_tree(tmp_path, "change"),
+             "MISSING": tmp_path / "missing",
+             "NOT_A_CHECKOUT": tmp_path}
+    argv = [trees.get(arg, arg) for arg in argv]
+    assert main_exit(*argv, "--out", tmp_path / "round.txt") == 2
     assert not (tmp_path / "round.txt").exists()
     assert runs(tmp_path) == []
 
