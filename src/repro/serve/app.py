@@ -363,7 +363,7 @@ class ServeApp:
 
         # Fast-fail while the breaker is hard open: joining the queue
         # would only time the client out.  Half-open traffic still flows
-        # (the dispatcher claims the probe slots).
+        # (the dispatcher claims the probe slot).
         if self.breaker.state == OPEN:
             return 503, {"error": "breaker_open", "reason": "breaker",
                          "digest": digest}, \

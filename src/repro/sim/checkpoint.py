@@ -65,8 +65,8 @@ __all__ = [
 #: fixed-order rows instead of keyed objects; v3 holds at most one
 #: pending trace arrival per task (the kernel queues releases lazily),
 #: so v3 code restoring a v2 checkpoint would queue each task's next
-#: release twice; v4 drops the ``last_ckpt_clock`` meter (checkpoints
-#: are due by handled-event count only).
+#: release twice; v4 drops the simulated-clock meter from the state
+#: (checkpoints are due by handled-event count only).
 CHECKPOINT_VERSION = 4
 
 

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.campaign.seeding import (
-    BACKOFF_JITTER,
-    backoff_delay,
-    derive_seed,
-    derive_seeds,
-)
+from repro.campaign.seeding import backoff_delay, derive_seed, derive_seeds
 
 
 class TestDeriveSeed:
@@ -48,8 +43,7 @@ class TestBackoffDelay:
     def test_cap_applies(self):
         capped = backoff_delay(10, base=0.1, cap=1.5, seed=0)
         assert capped == backoff_delay(20, base=0.1, cap=1.5, seed=0)
-        assert 1.5 * (1 - BACKOFF_JITTER) <= capped \
-            <= 1.5 * (1 + BACKOFF_JITTER)
+        assert 1.5 * 0.75 <= capped <= 1.5 * 1.25
 
     def test_jitter_stays_within_band_and_is_seeded(self):
         raw = 0.4  # base * 2**2

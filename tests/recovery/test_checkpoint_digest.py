@@ -14,7 +14,7 @@ the simulated state (a new field leaking into the encoding, a reordered
 event, a different segment index on a departed job) changes it, so a
 kernel change that claims byte-identical results must leave it alone.
 It was last re-pinned for checkpoint format v4 (a new version number,
-and no ``last_ckpt_clock`` key in the state).
+and no simulated-clock checkpoint meter in the state).
 """
 
 import hashlib
